@@ -1,6 +1,9 @@
 #include "src/api/spec.h"
 
 #include <cmath>
+#include <string>
+
+#include "src/geometry/quadtree.h"
 
 namespace fastcoreset {
 namespace api {
@@ -55,9 +58,11 @@ struct OptionsValidator {
       return FcStatus::InvalidArgument(
           "fast_coreset correction_eps must be > 0");
     }
-    if (o.seeding_max_depth < 1) {
+    if (o.seeding_max_depth < 1 ||
+        o.seeding_max_depth > Quadtree::kMaxDepth) {
       return FcStatus::InvalidArgument(
-          "fast_coreset seeding_max_depth must be >= 1");
+          "fast_coreset seeding_max_depth must be in [1, " +
+          std::to_string(Quadtree::kMaxDepth) + "]");
     }
     if (o.seeding_max_rejections < 0) {
       return FcStatus::InvalidArgument(

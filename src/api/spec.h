@@ -58,7 +58,7 @@ struct FastOptions {
   bool center_correction = false;     ///< Algorithm 1 lines 7-8 weights.
   double correction_eps = 0.1;
   FastSeeder seeder = FastSeeder::kFastKMeansPlusPlus;
-  int seeding_max_depth = 60;          ///< Quadtree depth cap.
+  int seeding_max_depth = 60;  ///< Quadtree depth cap, in [1, 62].
   bool seeding_full_depth_tree = false;
   bool seeding_rejection_sampling = true;
   int seeding_max_rejections = 512;

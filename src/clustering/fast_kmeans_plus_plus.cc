@@ -36,17 +36,23 @@ class TreeSeeder {
     center_points_.push_back(point_idx);
 
     // Collect the not-yet-covered suffix of the root-to-leaf path.
-    std::vector<int32_t> newly;
-    for (int32_t v = tree_.LeafOfPoint(point_idx);
-         v != -1 && !covered_[v]; v = tree_.node(v).parent) {
-      newly.push_back(v);
+    const int32_t center_leaf = tree_.LeafOfPoint(point_idx);
+    newly_.clear();
+    for (int32_t v = center_leaf; v != -1 && !covered_[v];
+         v = tree_.parent(v)) {
+      newly_.push_back(v);
     }
     // Mark first so each traversal below prunes at the deeper path nodes;
     // every point is then updated by exactly one traversal.
-    for (int32_t v : newly) covered_[v] = 1;
+    for (int32_t v : newly_) covered_[v] = 1;
 
-    for (int32_t u : newly) {
-      const int u_level = tree_.node(u).level;
+    for (int32_t u : newly_) {
+      const int u_level = tree_.level(u);
+      // If u is the leaf holding the new center, its points are
+      // co-located with the center in the tree metric: distance 0.
+      const double dist =
+          u == center_leaf ? 0.0 : tree_.TreeDistanceAtLevel(u_level);
+      const double dist_pow = z_ == 2 ? dist * dist : dist;
       // Points whose deepest covered ancestor becomes u are exactly the
       // points of subtree(u) with no covered cell strictly below u.
       stack_.clear();
@@ -54,24 +60,15 @@ class TreeSeeder {
       while (!stack_.empty()) {
         const int32_t x = stack_.back();
         stack_.pop_back();
-        const Quadtree::Node& node = tree_.node(x);
-        if (node.is_leaf) {
-          // If u itself is the leaf holding the new center, its points are
-          // co-located with the center in the tree metric: distance 0.
-          const double dist =
-              (u == x && node.is_leaf && u_level == node.level &&
-               u == tree_.LeafOfPoint(point_idx))
-                  ? 0.0
-                  : tree_.TreeDistanceAtLevel(u_level);
-          const double dist_pow = z_ == 2 ? dist * dist : dist;
-          for (uint32_t p : node.points) {
+        if (tree_.is_leaf(x)) {
+          for (uint32_t p : tree_.points(x)) {
             if (cov_level_[p] >= u_level && cov_level_[p] != -1) continue;
             cov_level_[p] = u_level;
             assigned_[p] = static_cast<uint32_t>(ordinal);
             masses_.Set(p, WeightAt(weights_, p) * dist_pow);
           }
         } else {
-          for (int32_t child : node.children) {
+          for (int32_t child : tree_.children(x)) {
             if (!covered_[child]) stack_.push_back(child);
           }
         }
@@ -96,14 +93,12 @@ class TreeSeeder {
   const Quadtree& tree_;
   const int z_;
   std::vector<uint8_t> covered_;
-  // Deepest covered-ancestor level per point, -1 = not covered yet. Kept
-  // as int32_t to match Quadtree::Node::level: a caller-supplied max_depth
-  // above INT16_MAX would make an int16_t wrap negative — level 65535
-  // would even collide with the -1 sentinel.
+  // Deepest covered-ancestor level per point, -1 = not covered yet.
   std::vector<int32_t> cov_level_;
   std::vector<uint32_t> assigned_;
   DiscreteDistribution masses_;
   std::vector<size_t> center_points_;
+  std::vector<int32_t> newly_;  // AddCenter scratch, reused across calls.
   std::vector<int32_t> stack_;
 };
 

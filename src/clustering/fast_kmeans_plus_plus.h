@@ -35,8 +35,9 @@ namespace fastcoreset {
 struct FastKMeansPlusPlusOptions {
   /// Cost exponent: 1 = k-median, 2 = k-means.
   int z = 2;
-  /// Quadtree depth cap. The tree only deepens where points are close, so
-  /// a generous cap preserves the Õ(nd log Δ) adaptive behaviour.
+  /// Quadtree depth cap, in [1, Quadtree::kMaxDepth = 62]. The tree only
+  /// deepens where points are close, so a generous cap preserves the
+  /// Õ(nd log Δ) adaptive behaviour.
   int max_depth = 60;
   /// Build the quadtree non-adaptively (every point descends to
   /// max_depth), reproducing the O(nd log Δ) embedding cost the paper's

@@ -35,34 +35,33 @@ Clustering TreeAssign(const Matrix& points,
   std::vector<uint8_t> covered(tree.num_nodes(), 0);
   std::vector<int16_t> cov_level(n, -1);
   std::vector<uint32_t> assigned(n, 0);
-  std::vector<int32_t> stack;
+  std::vector<int32_t> newly, stack;
 
   for (size_t c = 0; c < k; ++c) {
     // Cover the center's path; update points in the newly covered
     // subtrees exactly as Fast-kmeans++'s seeder does.
-    std::vector<int32_t> newly;
+    newly.clear();
     for (int32_t v = tree.LeafOfPoint(n + c); v != -1 && !covered[v];
-         v = tree.node(v).parent) {
+         v = tree.parent(v)) {
       newly.push_back(v);
     }
     for (int32_t v : newly) covered[v] = 1;
     for (int32_t u : newly) {
-      const int u_level = tree.node(u).level;
+      const int u_level = tree.level(u);
       stack.clear();
       stack.push_back(u);
       while (!stack.empty()) {
         const int32_t x = stack.back();
         stack.pop_back();
-        const Quadtree::Node& node = tree.node(x);
-        if (node.is_leaf) {
-          for (uint32_t p : node.points) {
+        if (tree.is_leaf(x)) {
+          for (uint32_t p : tree.points(x)) {
             if (p >= n) continue;  // Center rows are not assigned.
             if (cov_level[p] >= u_level && cov_level[p] != -1) continue;
             cov_level[p] = static_cast<int16_t>(u_level);
             assigned[p] = static_cast<uint32_t>(c);
           }
         } else {
-          for (int32_t child : node.children) {
+          for (int32_t child : tree.children(x)) {
             if (!covered[child]) stack.push_back(child);
           }
         }

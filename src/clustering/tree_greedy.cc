@@ -1,7 +1,10 @@
 #include "src/clustering/tree_greedy.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <queue>
+#include <tuple>
 
 #include "src/clustering/kmedian.h"
 #include "src/geometry/distance.h"
@@ -13,6 +16,46 @@ namespace {
 
 double WeightAt(const std::vector<double>& weights, size_t i) {
   return weights.empty() ? 1.0 : weights[i];
+}
+
+// Position of each cell in the order in which inserting points 0..n-1 one
+// at a time (a leaf splits when a second point reaches it) would create
+// the cells of `tree` (an adaptive one). The frontier breaks priority ties
+// by it, so results do not depend on how the tree numbers its cells. A
+// cell c with parent P is created
+//   - while inserting P's second-smallest point, if c holds P's smallest
+//     one (P's split pushes that point down a level at a time);
+//   - while inserting its own smallest point, otherwise;
+// and within one insertion by level, the earlier point's cell first.
+std::vector<uint64_t> InsertionRanks(const Quadtree& tree) {
+  const size_t num_nodes = tree.num_nodes();
+  std::vector<uint32_t> smallest(num_nodes), second(num_nodes);
+  for (size_t id = num_nodes; id-- > 0;) {
+    const auto v = static_cast<int32_t>(id);
+    if (tree.is_leaf(v)) {
+      const auto points = tree.points(v);
+      smallest[id] = points[0];
+      second[id] = points.size() > 1 ? points[1] : UINT32_MAX;
+    } else {
+      // Children are ordered by their smallest point.
+      const auto children = tree.children(v);
+      const int32_t first = children.front();
+      smallest[id] = smallest[first];
+      second[id] = children.size() > 1
+                       ? std::min(second[first], smallest[first + 1])
+                       : second[first];
+    }
+  }
+  std::vector<uint64_t> rank(num_nodes, 0);  // The root comes first.
+  for (size_t id = 1; id < num_nodes; ++id) {
+    const auto v = static_cast<int32_t>(id);
+    const bool pushed_down = smallest[id] == smallest[tree.parent(v)];
+    const uint64_t inserted =
+        pushed_down ? second[tree.parent(v)] : smallest[id];
+    rank[id] = inserted << 7 | static_cast<uint64_t>(tree.level(v)) << 1 |
+               (pushed_down ? 0u : 1u);
+  }
+  return rank;
 }
 
 }  // namespace
@@ -28,15 +71,15 @@ Clustering TreeGreedySeeding(const Matrix& points,
 
   Quadtree tree(points, rng, options.max_depth);
 
-  // Subtree weights, bottom-up. Children are always created after their
-  // parent, so reverse id order is a valid topological order.
+  // Subtree weights, bottom-up. Children always have larger ids than
+  // their parent, so reverse id order is a valid topological order.
   std::vector<double> subtree_weight(tree.num_nodes(), 0.0);
   for (size_t id = tree.num_nodes(); id-- > 0;) {
-    const auto& node = tree.node(static_cast<int32_t>(id));
-    for (uint32_t p : node.points) {
+    const auto v = static_cast<int32_t>(id);
+    for (uint32_t p : tree.points(v)) {
       subtree_weight[id] += WeightAt(weights, p);
     }
-    for (int32_t child : node.children) {
+    for (int32_t child : tree.children(v)) {
       subtree_weight[id] += subtree_weight[child];
     }
   }
@@ -44,34 +87,35 @@ Clustering TreeGreedySeeding(const Matrix& points,
   // Greedy splitting: priority = weight * (cell tree-diameter)^z, an upper
   // bound on the cost of serving the whole group from one center.
   auto bound = [&](int32_t v) {
-    const auto& node = tree.node(v);
-    if (node.is_leaf && node.children.empty()) {
+    if (tree.is_leaf(v)) {
       return 0.0;  // A leaf cannot be improved by splitting.
     }
-    const double diameter = tree.TreeDistanceAtLevel(node.level);
+    const double diameter = tree.TreeDistanceAtLevel(tree.level(v));
     return subtree_weight[v] *
            (options.z == 2 ? diameter * diameter : diameter);
   };
 
-  using Entry = std::pair<double, int32_t>;
+  // (priority, insertion rank, node id); equal priorities are common
+  // (sibling singletons), and the rank orders them.
+  const std::vector<uint64_t> rank = InsertionRanks(tree);
+  using Entry = std::tuple<double, uint64_t, int32_t>;
   std::priority_queue<Entry> frontier;
-  frontier.emplace(bound(tree.root()), tree.root());
+  const auto push = [&](int32_t v) { frontier.emplace(bound(v), rank[v], v); };
+  push(tree.root());
   std::vector<int32_t> groups;
   while (groups.size() + frontier.size() < k && !frontier.empty()) {
-    const auto [priority, v] = frontier.top();
+    const auto [priority, unused_rank, v] = frontier.top();
     frontier.pop();
     if (priority <= 0.0) {
       groups.push_back(v);  // Unsplittable; keep as a final group.
       continue;
     }
-    // Replace v by its occupied children (plus v's own leaf points, which
-    // for internal nodes are empty by construction).
-    for (int32_t child : tree.node(v).children) {
-      frontier.emplace(bound(child), child);
-    }
+    // Replace v by its occupied children (an internal node holds no
+    // points of its own).
+    for (int32_t child : tree.children(v)) push(child);
   }
   while (!frontier.empty()) {
-    groups.push_back(frontier.top().second);
+    groups.push_back(std::get<2>(frontier.top()));
     frontier.pop();
   }
 
@@ -87,12 +131,11 @@ Clustering TreeGreedySeeding(const Matrix& points,
     while (!stack.empty()) {
       const int32_t v = stack.back();
       stack.pop_back();
-      const auto& node = tree.node(v);
-      for (uint32_t p : node.points) {
+      for (uint32_t p : tree.points(v)) {
         members[g].push_back(p);
         result.assignment[p] = g;
       }
-      for (int32_t child : node.children) stack.push_back(child);
+      for (int32_t child : tree.children(v)) stack.push_back(child);
     }
   }
 

@@ -1,6 +1,7 @@
 // Hashing of integer grid-cell coordinates.
 //
-// Quadtree cells are identified by their integer coordinate vector at a
+// Grid cells (the spread-reduction boxes of Crude-Approx and
+// Reduce-Spread) are identified by their integer coordinate vector at a
 // given level. We never store the coordinate vectors; instead cells are
 // keyed by a 128-bit hash (two independent 64-bit mixes), which makes an
 // accidental collision across even billions of cells vanishingly unlikely.

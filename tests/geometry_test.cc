@@ -1,6 +1,8 @@
 // Tests for src/geometry: matrix, distances, bounding box, JL, quadtree.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/geometry/bounding_box.h"
+#include "src/geometry/cell_hash.h"
 #include "src/geometry/distance.h"
 #include "src/geometry/jl_projection.h"
 #include "src/geometry/matrix.h"
@@ -289,11 +292,11 @@ TEST(QuadtreeTest, EveryPointHasALeafAndParentsChainToRoot) {
   EXPECT_EQ(tree.num_points(), 200u);
   for (size_t i = 0; i < 200; ++i) {
     int32_t v = tree.LeafOfPoint(i);
-    EXPECT_TRUE(tree.node(v).is_leaf);
+    EXPECT_TRUE(tree.is_leaf(v));
     int steps = 0;
-    while (tree.node(v).parent != -1) {
-      const int32_t parent = tree.node(v).parent;
-      EXPECT_EQ(tree.node(parent).level, tree.node(v).level - 1);
+    while (tree.parent(v) != -1) {
+      const int32_t parent = tree.parent(v);
+      EXPECT_EQ(tree.level(parent), tree.level(v) - 1);
       v = parent;
       ASSERT_LT(++steps, 100);
     }
@@ -307,17 +310,64 @@ TEST(QuadtreeTest, LeavesPartitionThePoints) {
   Quadtree tree(points, rng);
   std::set<uint32_t> seen;
   for (size_t id = 0; id < tree.num_nodes(); ++id) {
-    const auto& node = tree.node(static_cast<int32_t>(id));
-    if (!node.is_leaf) {
-      EXPECT_TRUE(node.points.empty());
+    const auto v = static_cast<int32_t>(id);
+    if (!tree.is_leaf(v)) {
+      EXPECT_TRUE(tree.points(v).empty());
       continue;
     }
-    for (uint32_t p : node.points) {
+    for (uint32_t p : tree.points(v)) {
       EXPECT_TRUE(seen.insert(p).second) << "point in two leaves";
       EXPECT_EQ(tree.LeafOfPoint(p), static_cast<int32_t>(id));
     }
   }
   EXPECT_EQ(seen.size(), 300u);
+}
+
+// The structure the seeders' results depend on: children sit one level
+// below their parent, are ordered by the smallest point index they hold,
+// and every leaf lists its points in ascending order. Duplicated rows
+// force multi-point leaves at max_depth.
+TEST(QuadtreeTest, ChildrenOrderedBySmallestPointAndLeavesAscending) {
+  Rng rng(12);
+  const Matrix base = RandomPoints(400, 3, rng);
+  std::vector<size_t> rows(1200);
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = (i * 13) % 400;
+  const Matrix points = base.SelectRows(rows);
+  for (const QuadtreeOptions options :
+       {QuadtreeOptions{30, false}, QuadtreeOptions{6, false},
+        QuadtreeOptions{9, true}}) {
+    Quadtree tree(points, rng, options);
+    // Smallest point index per subtree, bottom-up (children have larger
+    // ids than their parent).
+    std::vector<uint32_t> smallest(tree.num_nodes(), UINT32_MAX);
+    for (size_t id = tree.num_nodes(); id-- > 0;) {
+      const auto v = static_cast<int32_t>(id);
+      if (tree.is_leaf(v)) {
+        const auto leaf_points = tree.points(v);
+        ASSERT_FALSE(leaf_points.empty()) << "node " << id;
+        EXPECT_TRUE(std::is_sorted(leaf_points.begin(), leaf_points.end()))
+            << "node " << id;
+        EXPECT_EQ(std::adjacent_find(leaf_points.begin(), leaf_points.end()),
+                  leaf_points.end());
+        smallest[id] = leaf_points.front();
+        continue;
+      }
+      uint32_t previous = 0;
+      bool first = true;
+      for (int32_t child : tree.children(v)) {
+        EXPECT_GT(child, v);
+        EXPECT_EQ(tree.parent(child), v);
+        EXPECT_EQ(tree.level(child), tree.level(v) + 1);
+        if (!first) {
+          EXPECT_LT(previous, smallest[child]) << "node " << id;
+        }
+        previous = smallest[child];
+        first = false;
+      }
+      smallest[id] = smallest[tree.children(v).front()];
+    }
+    EXPECT_EQ(smallest[tree.root()], 0u);
+  }
 }
 
 // The defining HST property: tree distance dominates Euclidean distance.
@@ -387,7 +437,7 @@ TEST(QuadtreeTest, IdenticalPointsShareALeaf) {
     EXPECT_EQ(tree.LeafOfPoint(i), leaf);
     EXPECT_EQ(tree.TreeDistance(0, i), 0.0);
   }
-  EXPECT_EQ(tree.node(leaf).level, 12);
+  EXPECT_EQ(tree.level(leaf), 12);
 }
 
 TEST(QuadtreeTest, DepthAdaptsToSpread) {

@@ -135,7 +135,7 @@ TEST(FullDepthQuadtreeTest, AllLeavesAtMaxDepth) {
   for (double& x : points.data()) x = rng.Uniform(0.0, 10.0);
   Quadtree tree(points, rng, QuadtreeOptions{12, /*full_depth=*/true});
   for (size_t i = 0; i < points.rows(); ++i) {
-    EXPECT_EQ(tree.node(tree.LeafOfPoint(i)).level, 12);
+    EXPECT_EQ(tree.level(tree.LeafOfPoint(i)), 12);
   }
   // Full-depth trees are strictly larger than adaptive ones.
   Rng rng2(8);

@@ -213,9 +213,9 @@ TEST_P(QuadtreeProperty, PartitionAndDomination) {
   // Partition: every point in exactly one leaf.
   std::vector<int> seen(points.rows(), 0);
   for (size_t id = 0; id < tree.num_nodes(); ++id) {
-    const auto& node = tree.node(static_cast<int32_t>(id));
-    EXPECT_LE(node.level, depth);
-    for (uint32_t p : node.points) ++seen[p];
+    const auto v = static_cast<int32_t>(id);
+    EXPECT_LE(tree.level(v), depth);
+    for (uint32_t p : tree.points(v)) ++seen[p];
   }
   for (int count : seen) EXPECT_EQ(count, 1);
 

@@ -12,6 +12,7 @@
 #include "src/clustering/fast_kmeans_plus_plus.h"
 #include "src/clustering/kmeans_plus_plus.h"
 #include "src/clustering/lloyd.h"
+#include "src/clustering/tree_assign.h"
 #include "src/common/fenwick_tree.h"
 #include "src/data/coreset_io.h"
 #include "src/data/generators.h"
@@ -168,6 +169,14 @@ TEST(ContractDeathTest, ChecksFireOnBadArguments) {
   Bico bico(2);
   const std::vector<double> p = {0.0, 0.0};
   EXPECT_DEATH({ bico.Insert(p, 0.0); }, "FC_CHECK");
+  // Quadtree depth caps outside [1, 62] (cell coordinates past level 62
+  // overflow int64), whichever seeder asks.
+  EXPECT_DEATH({ Quadtree tree(points, rng, Quadtree::kMaxDepth + 1); },
+               "FC_CHECK");
+  EXPECT_DEATH({ Quadtree tree(points, rng, 0); }, "FC_CHECK");
+  EXPECT_DEATH(
+      { (void)TreeAssign(points, {}, points, 2, rng, /*max_depth=*/63); },
+      "FC_CHECK");
 }
 
 TEST(CoresetIoTest, RoundTripPreservesPointsAndWeights) {

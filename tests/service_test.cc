@@ -779,6 +779,46 @@ TEST(ProtocolTest, MalformedRequestsGetErrorResponsesNotCrashes) {
   }
 }
 
+// A quadtree depth cap past 62 used to reach the tree builder: duplicate
+// rows descend one new cell per level (std::bad_alloc at 20M levels), and
+// cell coordinates past level 62 overflow int64. Validation now rejects
+// it as a structured error, and the service keeps serving.
+TEST(ProtocolTest, OversizedSeedingDepthIsRejectedAndServiceSurvives) {
+  CoresetService svc;
+  const auto Handle = [&](const std::string& line) {
+    const std::string response = service::HandleRequestLine(svc, line);
+    auto parsed = service::ParseJson(response);
+    FC_CHECK_MSG(parsed.ok(), response.c_str());
+    return std::move(parsed.value());
+  };
+  ASSERT_TRUE(Handle(R"({"verb":"register","name":"dup",)"
+                     R"("points":[[0,0],[0,0],[1,1],[2,2]]})")
+                  .Find("ok")
+                  ->bool_value());
+  const auto Build = [&](int depth) {
+    return Handle(R"({"verb":"build","dataset":"dup","method":"fast_coreset",)"
+                  R"("k":2,"m":8,"seed":1,"options":{"seeding_max_depth":)" +
+                  std::to_string(depth) + "}}");
+  };
+
+  for (int depth : {20000000, 63}) {
+    const JsonValue rejected = Build(depth);
+    ASSERT_FALSE(rejected.Find("ok")->bool_value()) << depth;
+    EXPECT_EQ(rejected.Find("code")->string_value(), "invalid_argument");
+    EXPECT_NE(rejected.Find("message")->string_value().find("[1, 62]"),
+              std::string::npos)
+        << rejected.Find("message")->string_value();
+  }
+
+  // The deepest allowed tree still builds: the duplicates descend to
+  // level 62 and share a leaf there.
+  const JsonValue deepest = Build(62);
+  ASSERT_TRUE(deepest.Find("ok")->bool_value())
+      << deepest.Find("message")->string_value();
+  EXPECT_EQ(deepest.Find("cache")->string_value(), "miss");
+  EXPECT_TRUE(Handle(R"({"verb":"stats"})").Find("ok")->bool_value());
+}
+
 // Service builds honour the library-wide thread-invariance contract end
 // to end (the acceptance matrix: shards x FC_THREADS).
 TEST(ServiceTest, ServedCoresetsAreBitIdenticalAcrossThreadCounts) {
