@@ -149,22 +149,9 @@ class FastCoresetAlgorithm : public CoresetAlgorithm {
     core.seeding.rejection_sampling = options.seeding_rejection_sampling;
     core.seeding.max_rejections = options.seeding_max_rejections;
 
-    FastCoresetStageTimes stage_times;
-    Coreset coreset = FastCoreset(points, weights, core, rng,
-                                  diag == nullptr ? nullptr : &stage_times);
-    if (diag != nullptr) {
-      diag->j_effective = spec.k;  // Algorithm 1 seeds a full k solution.
-      diag->stages.push_back({"jl_projection", stage_times.jl_seconds});
-      if (options.use_spread_reduction) {
-        diag->stages.push_back(
-            {"spread_reduction", stage_times.spread_seconds});
-      }
-      diag->stages.push_back({"seeding", stage_times.seeding_seconds});
-      diag->stages.push_back(
-          {"sensitivities", stage_times.sensitivity_seconds});
-      diag->stages.push_back({"sampling", stage_times.sampling_seconds});
-    }
-    return coreset;
+    if (diag != nullptr) diag->j_effective = spec.k;  // Full k solution.
+    return FastCoreset(points, weights, core, rng,
+                       diag == nullptr ? nullptr : &diag->stages);
   }
 };
 

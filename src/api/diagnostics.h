@@ -10,21 +10,20 @@
 #include <string>
 #include <vector>
 
+#include "src/common/timer.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
 namespace api {
 
-/// One timed pipeline stage ("seeding", "sampling", ...).
-struct StageTime {
-  std::string name;
-  double seconds = 0.0;
-};
+using fastcoreset::StageTime;
 
 /// What a build actually did. All fields are filled by the facade; the
 /// per-stage vector additionally gets method-internal stages where the
-/// core exposes them (fast_coreset reports jl/seeding/sensitivity/
-/// sampling, streaming builds report per-phase reduce work).
+/// core records them (FastCoreset appends its Algorithm 1 stages itself,
+/// streaming builds report per-phase reduce work). This is the one record
+/// of a build: the service's sharded diagnostics hold one per shard plus
+/// one for the merge rather than copying its fields.
 struct BuildDiagnostics {
   std::string method;        ///< Canonical registry name used.
   uint64_t seed = 0;         ///< Rng seed (meaningful when !external_rng).

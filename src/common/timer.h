@@ -1,9 +1,11 @@
-// Wall-clock timing helper used by the experiment harness and benches.
+// Wall-clock timing helpers used by the experiment harness, benches, and
+// per-build diagnostics.
 
 #ifndef FASTCORESET_COMMON_TIMER_H_
 #define FASTCORESET_COMMON_TIMER_H_
 
 #include <chrono>
+#include <string>
 
 namespace fastcoreset {
 
@@ -26,6 +28,12 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// One timed pipeline stage ("seeding", "sampling", ...).
+struct StageTime {
+  std::string name;
+  double seconds = 0.0;
 };
 
 }  // namespace fastcoreset

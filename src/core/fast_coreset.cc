@@ -55,12 +55,18 @@ Matrix RefineCenters(const Matrix& points, const std::vector<double>& weights,
 
 Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
                     const FastCoresetOptions& options, Rng& rng,
-                    FastCoresetStageTimes* stage_times) {
+                    std::vector<StageTime>* stages) {
   FC_CHECK_GT(points.rows(), 0u);
   FC_CHECK_GT(options.k, 0u);
   FC_CHECK(options.z == 1 || options.z == 2);
   const size_t m = options.m == 0 ? 40 * options.k : options.m;
   Timer stage_timer;
+  // Appends the stage that just finished and restarts the clock.
+  const auto end_stage = [stages, &stage_timer](const char* name) {
+    if (stages == nullptr) return;
+    stages->push_back({name, stage_timer.Seconds()});
+    stage_timer.Reset();
+  };
 
   // Step 1: dimension reduction. The seeding runs on the proxy; all costs
   // and sampled points come from the original space.
@@ -74,10 +80,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
       seed_space = &projected;
     }
   }
-  if (stage_times != nullptr) {
-    stage_times->jl_seconds = stage_timer.Seconds();
-    stage_timer.Reset();
-  }
+  end_stage("jl_projection");
 
   // Step 2b (optional): spread reduction on the seeding proxy. Rows of the
   // reduced set correspond 1:1 to input rows, so assignments carry over.
@@ -90,11 +93,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
       reduced = std::move(reduction.points);
       seed_space = &reduced;
     }
-  }
-  if (stage_times != nullptr) {
-    stage_times->spread_seconds = stage_timer.Seconds();
-    stage_times->seed_dims = seed_space->cols();
-    stage_timer.Reset();
+    end_stage("spread_reduction");
   }
 
   // Step 2: seed an approximate solution with assignments.
@@ -110,10 +109,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
     solution = FastKMeansPlusPlus(*seed_space, weights, options.k, seeding,
                                   rng);
   }
-  if (stage_times != nullptr) {
-    stage_times->seeding_seconds = stage_timer.Seconds();
-    stage_timer.Reset();
-  }
+  end_stage("seeding");
 
   // Step 3: refine centers and evaluate sensitivities in the original
   // space (the assignment is reused; only the cost geometry changes).
@@ -122,10 +118,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
                     solution.centers.rows(), options.z);
   const ImportanceScores scores = ComputeSensitivities(
       points, weights, solution.assignment, centers, options.z);
-  if (stage_times != nullptr) {
-    stage_times->sensitivity_seconds = stage_timer.Seconds();
-    stage_timer.Reset();
-  }
+  end_stage("sensitivities");
 
   // Step 4: importance-sample and weight.
   Coreset coreset = SampleByImportance(points, weights, scores, m, rng);
@@ -133,9 +126,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
     ApplyCenterCorrection(points, weights, solution.assignment, centers,
                           options.correction_eps, &coreset);
   }
-  if (stage_times != nullptr) {
-    stage_times->sampling_seconds = stage_timer.Seconds();
-  }
+  end_stage("sampling");
   return coreset;
 }
 

@@ -19,7 +19,10 @@
 #ifndef FASTCORESET_CORE_FAST_CORESET_H_
 #define FASTCORESET_CORE_FAST_CORESET_H_
 
+#include <vector>
+
 #include "src/clustering/fast_kmeans_plus_plus.h"
+#include "src/common/timer.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
@@ -56,24 +59,17 @@ struct FastCoresetOptions {
   FastKMeansPlusPlusOptions seeding;
 };
 
-/// Per-stage wall-clock of one FastCoreset run, for the facade's build
-/// diagnostics (src/api/diagnostics.h). Timing never touches the rng, so
-/// collecting it cannot perturb the sampled coreset.
-struct FastCoresetStageTimes {
-  double jl_seconds = 0.0;           ///< Step 1 (0 when skipped).
-  double spread_seconds = 0.0;       ///< Step 2b (0 when off).
-  double seeding_seconds = 0.0;      ///< Step 2.
-  double sensitivity_seconds = 0.0;  ///< Step 3 (refine + eq. (1)).
-  double sampling_seconds = 0.0;     ///< Step 4 (+ center correction).
-  size_t seed_dims = 0;              ///< Dimensions the seeder ran in.
-};
-
 /// Builds a Fast-Coreset of `points` (optionally weighted). The coreset's
 /// rows are rows of `points` (plus synthetic correction points if enabled).
-/// `stage_times`, when non-null, receives the per-stage breakdown.
+/// `stages`, when non-null, gets the wall clock of each step appended in
+/// pipeline order: "jl_projection" (step 1, ~0 when skipped),
+/// "spread_reduction" (step 2b, only when enabled), "seeding" (step 2),
+/// "sensitivities" (step 3) and "sampling" (step 4 + center correction).
+/// Timing never touches the rng, so collecting it cannot perturb the
+/// sampled coreset.
 Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
                     const FastCoresetOptions& options, Rng& rng,
-                    FastCoresetStageTimes* stage_times = nullptr);
+                    std::vector<StageTime>* stages = nullptr);
 
 /// Algorithm 1 steps 3–5 in isolation: given any assignment of the points
 /// into `num_clusters` groups, refine each group's center to its 1-mean

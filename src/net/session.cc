@@ -78,6 +78,9 @@ void Session::NoteReadClosed() {
 bool Session::WantsRead() const {
   if (read_closed_) return false;
   if (open_requests() >= limits_.max_inflight) return false;
+  // Released responses no longer count as open, so a client that never
+  // reads its socket would otherwise grow output_ without bound.
+  if (OutputSize() >= limits_.max_line_bytes) return false;
   // A framed line waiting for dispatch means the server is intentionally
   // holding back (queue backpressure); don't pile more input on top.
   return ready_.empty();

@@ -19,7 +19,9 @@
 // bytes are discarded as they stream in, so the buffer stays bounded and
 // the connection stays usable); open_requests() is capped by max_inflight
 // and, together with WantsRead, throttles how far a pipelining client
-// can run ahead — backpressure, not data loss.
+// can run ahead — backpressure, not data loss. Reads also pause while
+// unsent output is at least max_line_bytes, so a client that never reads
+// its socket cannot grow the write queue without bound.
 
 #ifndef FASTCORESET_NET_SESSION_H_
 #define FASTCORESET_NET_SESSION_H_
@@ -37,7 +39,8 @@ namespace net {
 /// Per-client limits, set once at accept time from NetServerOptions.
 struct SessionLimits {
   /// Longest accepted request line (bytes, newline excluded). Longer
-  /// lines produce an error response and are discarded.
+  /// lines produce an error response and are discarded. Also the unsent
+  /// output at which the server stops reading the client's socket.
   size_t max_line_bytes = 1 << 20;
   /// Most requests a single client may have unanswered at once; further
   /// complete lines stay queued (and the server stops reading the
@@ -70,8 +73,8 @@ class Session {
   bool read_closed() const { return read_closed_; }
 
   /// True while the server should keep polling this socket for input:
-  /// not half-closed, in-flight slots free, and no framed line already
-  /// waiting for dispatch.
+  /// not half-closed, in-flight slots free, unsent output below
+  /// max_line_bytes, and no framed line already waiting for dispatch.
   bool WantsRead() const;
 
   /// One framed request, sequence-stamped. `oversized` requests carry no

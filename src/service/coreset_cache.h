@@ -3,8 +3,9 @@
 // count) — the perfect shape for caching: a repeated request under heavy
 // traffic costs a map lookup and a copy instead of an O(nd) build. Keys
 // are the service's composite strings ("ds=<fingerprint>;<spec key>;
-// shards=N"); values are immutable shared snapshots of the build, so a
-// hit can be handed out while another thread inserts or evicts.
+// shards=N"); values are immutable shared snapshots of the built coreset
+// (no diagnostics), so a hit can be handed out while another thread
+// inserts or evicts.
 
 #ifndef FASTCORESET_SERVICE_CORESET_CACHE_H_
 #define FASTCORESET_SERVICE_CORESET_CACHE_H_
@@ -14,29 +15,22 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "src/api/diagnostics.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
-#include "src/service/shard_planner.h"
+#include "src/core/coreset.h"
 
 namespace fastcoreset {
 namespace service {
 
-/// Immutable snapshot of one completed build, shared between the cache
-/// and any in-flight responses.
+/// Immutable snapshot of one completed build's coreset, shared between
+/// the cache and any in-flight responses. It holds only what a hit needs
+/// and what eviction matches on; the build's diagnostics belong to the
+/// response of the request that built it.
 struct CachedBuild {
   std::string key;
-  uint64_t dataset_fingerprint = 0;
-  size_t shard_count = 1;
+  uint64_t dataset_fingerprint = 0;  ///< Matched by EvictDataset.
   Coreset coreset;
-  /// The diagnostics of the build that populated the entry (what a hit
-  /// saved): per-shard breakdown, merge accounting, wall clock.
-  std::vector<ShardDiagnostics> shards;
-  bool has_merge = false;
-  api::BuildDiagnostics merge;
-  double build_seconds = 0.0;
 };
 
 /// Thread-safe LRU cache with hit/miss/eviction counters. Capacity is an

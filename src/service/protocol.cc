@@ -411,7 +411,7 @@ std::string HandleBuild(CoresetService& service, const JsonValue& request,
   out.String("cache", diag.cache_status);
   out.Integer("shards", diag.shard_count);
   // Effective scheduler budget: 0 on a cache hit (no graph ran).
-  out.Integer("parallelism", diag.parallelism_effective);
+  out.Integer("parallelism", diag.scheduler.parallelism);
   out.Integer("rows", coreset.size());
   out.Integer("dims", coreset.points.cols());
   out.Number("total_weight", coreset.TotalWeight());

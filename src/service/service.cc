@@ -1,7 +1,6 @@
 #include "src/service/service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -12,78 +11,6 @@
 
 namespace fastcoreset {
 namespace service {
-
-namespace {
-
-void AppendLine(std::string* out, const std::string& key,
-                const std::string& value) {
-  out->append(key);
-  out->append("=");
-  out->append(value);
-  out->append("\n");
-}
-
-std::string FormatSeconds(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6f", seconds);
-  return buffer;
-}
-
-}  // namespace
-
-std::string ServiceDiagnostics::ToString() const {
-  std::string out;
-  AppendLine(&out, "dataset", dataset);
-  AppendLine(&out, "dataset_fingerprint", FingerprintHex(dataset_fingerprint));
-  AppendLine(&out, "cache", cache_status);
-  AppendLine(&out, "shards", std::to_string(shard_count));
-  if (parallelism_effective > 0) {
-    AppendLine(&out, "parallelism",
-               std::to_string(parallelism_effective) + " (requested " +
-                   (parallelism_requested == 0
-                        ? std::string("all")
-                        : std::to_string(parallelism_requested)) +
-                   ")");
-    AppendLine(&out, "scheduler.tasks_executed",
-               std::to_string(scheduler.tasks_executed));
-    AppendLine(&out, "scheduler.max_concurrent_shards",
-               std::to_string(scheduler.max_concurrent_shards));
-    AppendLine(&out, "scheduler.queue_high_water",
-               std::to_string(scheduler.queue_high_water));
-  }
-  for (const ShardDiagnostics& shard : shards) {
-    const std::string prefix = "shard." + std::to_string(shard.index);
-    AppendLine(&out, prefix + ".rows",
-               std::to_string(shard.row_begin) + ".." +
-                   std::to_string(shard.row_end));
-    AppendLine(&out, prefix + ".seed", std::to_string(shard.seed));
-    AppendLine(&out, prefix + ".seconds",
-               FormatSeconds(shard.build.total_seconds));
-    // The shard node's [start, end) offsets on the request wall clock;
-    // concurrent shards show overlapping windows here.
-    AppendLine(&out, prefix + ".window",
-               FormatSeconds(shard.start_seconds) + ".." +
-                   FormatSeconds(shard.end_seconds));
-  }
-  if (has_merge) {
-    AppendLine(&out, "merge.reduce_ops",
-               std::to_string(merge.stream_reduce_ops));
-    AppendLine(&out, "merge.levels", std::to_string(merge.stream_levels));
-    AppendLine(&out, "merge.points_processed",
-               std::to_string(merge.points_processed));
-    AppendLine(&out, "merge.seconds", FormatSeconds(merge.total_seconds));
-  }
-  AppendLine(&out, "points_processed", std::to_string(points_processed));
-  AppendLine(&out, "bytes_processed", std::to_string(bytes_processed));
-  // build_seconds sums per-shard + merge work (CPU-side);
-  // critical_path_seconds is the graph run's wall clock. With concurrent
-  // shards the former exceeds the latter — that gap is the overlap won.
-  AppendLine(&out, "build_seconds", FormatSeconds(build_seconds));
-  AppendLine(&out, "critical_path_seconds",
-             FormatSeconds(critical_path_seconds));
-  AppendLine(&out, "total_seconds", FormatSeconds(total_seconds));
-  return out;
-}
 
 api::FcStatusOr<BuildResponse> CoresetService::Build(
     const BuildRequest& request) {
@@ -145,15 +72,8 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
   api::FcStatusOr<ShardedBuildResult> built =
       BuildSharded(request.spec, points, shards, request.parallelism);
   if (!built.ok()) return built.status();
+  static_cast<ShardedBuildDiagnostics&>(diag) = std::move(built->diagnostics);
   diag.parallelism_requested = request.parallelism;
-  diag.parallelism_effective = built->scheduler.parallelism;
-  diag.scheduler = built->scheduler;
-  diag.critical_path_seconds = built->critical_path_seconds;
-  diag.shards = std::move(built->shards);
-  diag.has_merge = built->has_merge;
-  diag.merge = std::move(built->merge);
-  diag.points_processed = built->points_processed;
-  diag.bytes_processed = built->bytes_processed;
   // Summed CPU-side work: with concurrent shards this exceeds
   // critical_path_seconds — exactly the point of the comparison.
   for (const ShardDiagnostics& shard : diag.shards) {
@@ -164,25 +84,20 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
   {
     MutexLock lock(scheduler_mutex_);
     ++scheduler_totals_.graphs_run;
-    scheduler_totals_.tasks_executed += built->scheduler.tasks_executed;
+    scheduler_totals_.tasks_executed += diag.scheduler.tasks_executed;
     scheduler_totals_.max_concurrent_shards =
         std::max(scheduler_totals_.max_concurrent_shards,
-                 built->scheduler.max_concurrent_shards);
+                 diag.scheduler.max_concurrent_tasks);
     scheduler_totals_.queue_high_water =
         std::max(scheduler_totals_.queue_high_water,
-                 built->scheduler.queue_high_water);
+                 diag.scheduler.queue_high_water);
   }
 
   if (caching) {
     auto entry = std::make_shared<CachedBuild>();
     entry->key = diag.cache_key;
     entry->dataset_fingerprint = diag.dataset_fingerprint;
-    entry->shard_count = shards;
     entry->coreset = built->coreset;  // Copy: the response owns the other.
-    entry->shards = diag.shards;
-    entry->has_merge = diag.has_merge;
-    entry->merge = diag.merge;
-    entry->build_seconds = diag.build_seconds;
     cache_.Insert(std::move(entry));
   }
 

@@ -3,16 +3,15 @@
 // data + content fingerprints), ShardPlanner (deterministic sharded
 // merge-&-reduce builds), CoresetCache (LRU over completed builds) — into
 // one entry point: validate the request, resolve the dataset, consult the
-// cache, build on miss, and return the coreset with shard-aggregated
-// diagnostics that say exactly what the request cost (and what a cache
-// hit saved). tools/fc_serve.cc exposes this over newline-delimited JSON.
+// cache, build on miss, and return the coreset with diagnostics that say
+// exactly what the request cost (and what a cache hit saved).
+// tools/fc_serve.cc exposes this over newline-delimited JSON.
 
 #ifndef FASTCORESET_SERVICE_SERVICE_H_
 #define FASTCORESET_SERVICE_SERVICE_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/api/fastcoreset.h"
 #include "src/common/mutex.h"
@@ -50,40 +49,23 @@ struct BuildRequest {
   bool use_cache = true;
 };
 
-/// What the service did for one request, aggregated across shards. On a
-/// cache hit `shards` is empty and points_processed/build_seconds are 0 —
-/// the proof that no rebuild happened.
-struct ServiceDiagnostics {
+/// What the service did for one request: the planner's sharded-build
+/// record (shard windows, merge accounting, scheduler counters, volumes,
+/// critical path) plus the service's own fields. On a cache hit the
+/// inherited record stays empty — no shards, zero points_processed and
+/// scheduler counters — the proof that no rebuild happened.
+struct ServiceDiagnostics : ShardedBuildDiagnostics {
   std::string dataset;
   uint64_t dataset_fingerprint = 0;
   std::string cache_key;     ///< Full composite key the cache used.
   std::string cache_status;  ///< "hit" | "miss" | "bypass".
   size_t shard_count = 1;    ///< Effective (clamped) shard count.
-
   size_t parallelism_requested = 0;  ///< Budget as asked for (0 = all).
-  /// Budget the scheduler actually ran with (request clamped to the
-  /// pool); 0 on a cache hit — no graph ran.
-  size_t parallelism_effective = 0;
-  ShardSchedulerStats scheduler;  ///< Task-graph run counters; zero on a hit.
-
-  /// Per-shard build diagnostics (stage times included); empty on a hit.
-  std::vector<ShardDiagnostics> shards;
-  bool has_merge = false;
-  api::BuildDiagnostics merge;  ///< Merge-&-reduce accounting (shards > 1).
-
-  size_t points_processed = 0;  ///< Rows this request fed through builders.
-  size_t bytes_processed = 0;
   /// Summed CPU-side build work: Σ shard build seconds + merge seconds.
   /// With concurrent shards this EXCEEDS elapsed time — compare against
   /// critical_path_seconds to see the overlap.
   double build_seconds = 0.0;
-  /// Wall clock of the task-graph run (the critical path through the
-  /// overlapped shard windows plus the merge); 0 on a cache hit.
-  double critical_path_seconds = 0.0;
   double total_seconds = 0.0;  ///< Request wall clock (lookup included).
-
-  /// Multi-line key=value report in the BuildDiagnostics style.
-  std::string ToString() const;
 };
 
 /// A request's product.

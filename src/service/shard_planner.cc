@@ -32,26 +32,12 @@ Matrix SliceRows(const Matrix& points, const ShardRange& range) {
 }
 
 /// One shard node's product (node bodies cannot return a status — each
-/// records everything in its own slot for assembly after the graph
-/// drains; slots are written by exactly one node).
+/// records it in its own slot for assembly after the graph drains; slots
+/// are written by exactly one node). Diagnostics go straight into the
+/// result's ShardDiagnostics slot.
 struct ShardOutcome {
   api::FcStatus status;  ///< Ok unless this shard's build failed.
   Coreset coreset;       ///< Indices already remapped to dataset rows.
-  api::BuildDiagnostics diagnostics;
-};
-
-/// The merge node's product (the node body cannot return a status — it
-/// records everything here for assembly after the graph drains).
-struct MergeOutcome {
-  api::FcStatus status;
-  Coreset coreset;
-  size_t stream_blocks = 0;
-  size_t stream_reduce_ops = 0;
-  size_t stream_levels = 0;
-  size_t input_rows = 0;  ///< Non-empty shard coreset rows fed to the merge.
-  size_t points_processed = 0;
-  uint64_t seed = 0;
-  double seconds = 0.0;
 };
 
 }  // namespace
@@ -103,13 +89,27 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
   const std::vector<ShardRange> plan = PlanShards(points.rows(), shard_count);
   const size_t shards = plan.size();
 
-  // Per-shard result slots and execution windows: graph nodes write only
-  // their own index, so concurrent execution needs no locking here, and
-  // the post-run assembly reads them in fixed shard order.
+  // Per-shard result slots: graph nodes write only their own index (and
+  // their own ShardDiagnostics), so concurrent execution needs no locking
+  // here, and the post-run assembly reads them in fixed shard order.
   Timer wall;
+  ShardedBuildResult result;
+  ShardedBuildDiagnostics& diag = result.diagnostics;
   std::vector<ShardOutcome> built(shards);
-  std::vector<std::pair<double, double>> windows(shards, {0.0, 0.0});
-  MergeOutcome merge_out;
+  diag.shards.resize(shards);
+  for (size_t i = 0; i < shards; ++i) {
+    ShardDiagnostics& slot = diag.shards[i];
+    slot.index = i;
+    slot.row_begin = plan[i].begin;
+    slot.row_end = plan[i].end;
+    // With a single shard the request IS a plain one-shot build; derived
+    // seeds start mattering once there is more than one rng to keep
+    // apart.
+    slot.seed = shards == 1 ? spec.seed
+                            : DeriveBuildSeed(spec.seed, kShardSeedDomain, i);
+  }
+  diag.has_merge = shards > 1;
+  api::FcStatus merge_status;
 
   // The graph: one build node per shard (independent, internally
   // parallel on its budget slice) plus, for shards > 1, a merge node
@@ -122,15 +122,11 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
   shard_nodes.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shard_nodes.push_back(graph.AddTask([&spec, &points, &plan, &built,
-                                         &windows, &wall, shards, i] {
-      windows[i].first = wall.Seconds();
+                                         &diag, &wall, i] {
+      ShardDiagnostics& slot = diag.shards[i];
+      slot.start_seconds = wall.Seconds();
       api::CoresetSpec sub_spec = spec;
-      // With a single shard the request IS a plain one-shot build;
-      // derived seeds start mattering once there is more than one rng to
-      // keep apart.
-      sub_spec.seed = shards == 1
-                          ? spec.seed
-                          : DeriveBuildSeed(spec.seed, kShardSeedDomain, i);
+      sub_spec.seed = slot.seed;
       if (!spec.weights.empty()) {
         sub_spec.weights.assign(spec.weights.begin() + plan[i].begin,
                                 spec.weights.begin() + plan[i].end);
@@ -145,20 +141,20 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
           if (index != Coreset::kSyntheticIndex) index += plan[i].begin;
         }
         built[i].coreset = std::move(shard_built->coreset);
-        built[i].diagnostics = std::move(shard_built->diagnostics);
+        slot.build = std::move(shard_built->diagnostics);
       }
-      windows[i].second = wall.Seconds();
+      slot.end_seconds = wall.Seconds();
     }));
   }
 
   if (shards > 1) {
     graph.AddTask(
-        [&spec, &points, &built, &merge_out, shards] {
+        [&spec, &points, &built, &diag, &merge_status, &result, shards] {
           // A failed shard makes the merge moot; the failure itself is
           // surfaced (in shard order) by the assembly below.
           for (size_t i = 0; i < shards; ++i) {
             if (!built[i].status.ok()) {
-              merge_out.status = built[i].status;
+              merge_status = built[i].status;
               return;
             }
           }
@@ -171,11 +167,10 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
           merge_spec.weights.clear();
           merge_spec.seed =
               DeriveBuildSeed(spec.seed, kMergeSeedDomain, shards);
-          merge_out.seed = merge_spec.seed;
           api::FcStatusOr<CoresetBuilder> builder =
               api::MakeBuilder(merge_spec);
           if (!builder.ok()) {
-            merge_out.status = builder.status();
+            merge_status = builder.status();
             return;
           }
 
@@ -204,83 +199,56 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
             compressor.Push(shard.points.SelectRows(keep), weights);
           }
           if (stream_to_dataset.empty()) {
-            merge_out.status =
+            merge_status =
                 api::FcStatus::Internal("all shard coresets were empty");
             return;
           }
-          merge_out.input_rows = stream_to_dataset.size();
           Coreset merged = compressor.Finalize();
           for (size_t& index : merged.indices) {
             index = index < stream_to_dataset.size()
                         ? stream_to_dataset[index]
                         : Coreset::kSyntheticIndex;
           }
-          merge_out.coreset = std::move(merged);
-          merge_out.stream_blocks = compressor.BlocksConsumed();
-          merge_out.stream_reduce_ops = compressor.ReduceOps();
-          merge_out.stream_levels = compressor.OccupiedLevels();
-          merge_out.points_processed = compressor.BuilderRowsProcessed();
-          merge_out.seconds = merge_timer.Seconds();
+          api::BuildDiagnostics& merge = diag.merge;
+          merge.total_seconds = merge_timer.Seconds();
+          merge.method = diag.shards[0].build.method;
+          merge.seed = merge_spec.seed;
+          merge.input_rows = stream_to_dataset.size();
+          merge.input_dims = points.cols();
+          merge.k = spec.k;
+          merge.m_requested = spec.m;
+          merge.m_effective = spec.EffectiveM();
+          merge.z = spec.z;
+          merge.stream_blocks = compressor.BlocksConsumed();
+          merge.stream_reduce_ops = compressor.ReduceOps();
+          merge.stream_levels = compressor.OccupiedLevels();
+          merge.points_processed = compressor.BuilderRowsProcessed();
+          merge.bytes_processed =
+              merge.points_processed * points.cols() * sizeof(double);
+          merge.output_rows = merged.size();
+          merge.output_total_weight = merged.TotalWeight();
+          result.coreset = std::move(merged);
         },
         shard_nodes);
   }
 
-  const TaskGraph::RunStats run = graph.Run(parallelism);
+  diag.scheduler = graph.Run(parallelism);
+  diag.critical_path_seconds = wall.Seconds();
 
-  ShardedBuildResult result;
-  result.scheduler.parallelism = run.parallelism;
-  result.scheduler.tasks_executed = run.tasks_executed;
-  result.scheduler.max_concurrent_shards = run.max_concurrent_tasks;
-  result.scheduler.queue_high_water = run.queue_high_water;
-  result.critical_path_seconds = wall.Seconds();
-
-  // Assembly, in fixed shard order: the first failed shard's status wins
-  // (matching the sequential walk), then the merge outcome.
-  result.shards.reserve(shards);
+  // The first failed shard's status wins (matching the sequential walk),
+  // then the merge's.
   for (size_t i = 0; i < shards; ++i) {
     if (!built[i].status.ok()) return built[i].status;
-    ShardDiagnostics diag;
-    diag.index = i;
-    diag.row_begin = plan[i].begin;
-    diag.row_end = plan[i].end;
-    diag.seed = shards == 1
-                    ? spec.seed
-                    : DeriveBuildSeed(spec.seed, kShardSeedDomain, i);
-    diag.start_seconds = windows[i].first;
-    diag.end_seconds = windows[i].second;
-    diag.build = std::move(built[i].diagnostics);
-    result.shards.push_back(std::move(diag));
-    result.points_processed += plan[i].rows();
   }
-
   if (shards == 1) {
     result.coreset = std::move(built[0].coreset);
-  } else {
-    if (!merge_out.status.ok()) return merge_out.status;
-    result.has_merge = true;
-    result.merge.method = result.shards[0].build.method;
-    result.merge.seed = merge_out.seed;
-    result.merge.input_rows = merge_out.input_rows;
-    result.merge.input_dims = points.cols();
-    result.merge.k = spec.k;
-    result.merge.m_requested = spec.m;
-    result.merge.m_effective = spec.EffectiveM();
-    result.merge.z = spec.z;
-    result.merge.stream_blocks = merge_out.stream_blocks;
-    result.merge.stream_reduce_ops = merge_out.stream_reduce_ops;
-    result.merge.stream_levels = merge_out.stream_levels;
-    result.merge.points_processed = merge_out.points_processed;
-    result.merge.bytes_processed =
-        merge_out.points_processed * points.cols() * sizeof(double);
-    result.merge.output_rows = merge_out.coreset.size();
-    result.merge.output_total_weight = merge_out.coreset.TotalWeight();
-    result.merge.total_seconds = merge_out.seconds;
-    result.points_processed += merge_out.points_processed;
-    result.coreset = std::move(merge_out.coreset);
+  } else if (!merge_status.ok()) {
+    return merge_status;
   }
-
-  result.bytes_processed =
-      result.points_processed * points.cols() * sizeof(double);
+  // The shards partition the rows; the merge re-reduces shard coresets.
+  diag.points_processed = points.rows() + diag.merge.points_processed;
+  diag.bytes_processed =
+      diag.points_processed * points.cols() * sizeof(double);
   return result;
 }
 

@@ -13,6 +13,12 @@
 // edge, scheduled over up to `parallelism` node executors, each shard's
 // inner chunk dispatches capped to a slice of the worker budget.
 //
+// Diagnostics: every node writes its accounting in place into the
+// result's ShardedBuildDiagnostics — each shard node its own
+// ShardDiagnostics slot, the merge node the merge record — and
+// ServiceDiagnostics extends that struct, so the numbers reach the wire
+// without being copied from struct to struct.
+//
 // Determinism contract: each shard's build seeds a fresh Rng with
 // DeriveBuildSeed(spec.seed, kShardSeedDomain, shard_index), the merge
 // phase gets its own derived seed, and the merge consumes shard coresets
@@ -31,6 +37,7 @@
 #include "src/api/diagnostics.h"
 #include "src/api/spec.h"
 #include "src/api/status.h"
+#include "src/common/task_graph.h"
 #include "src/geometry/matrix.h"
 
 namespace fastcoreset {
@@ -79,27 +86,25 @@ struct ShardDiagnostics {
   api::BuildDiagnostics build;
 };
 
-/// What the task-graph run behind a sharded build looked like.
-struct ShardSchedulerStats {
-  size_t parallelism = 0;            ///< Effective worker budget used.
-  size_t tasks_executed = 0;         ///< Graph nodes run (shards + merge).
-  size_t max_concurrent_shards = 0;  ///< High-water of nodes in flight.
-  size_t queue_high_water = 0;       ///< Max ready-queue length observed.
-};
-
-/// A sharded build's product.
-struct ShardedBuildResult {
-  Coreset coreset;  ///< Indices refer to the original dataset rows.
-  std::vector<ShardDiagnostics> shards;   ///< One entry per shard, in order.
-  bool has_merge = false;                 ///< True when shards > 1.
+/// What a sharded build did — the one record of it. The service's
+/// per-request diagnostics extend this struct rather than copying it.
+struct ShardedBuildDiagnostics {
+  std::vector<ShardDiagnostics> shards;  ///< One entry per shard, in order.
+  bool has_merge = false;                ///< True when shards > 1.
   /// Merge-phase accounting (stream_* fields + wall clock) when has_merge.
   api::BuildDiagnostics merge;
-  ShardSchedulerStats scheduler;          ///< Task-graph run counters.
+  TaskGraph::RunStats scheduler;  ///< Task-graph run counters.
   size_t points_processed = 0;  ///< Shard rows + merge re-reduction rows.
   size_t bytes_processed = 0;   ///< points_processed * dims * sizeof(double).
   /// Wall clock of the whole graph run — the critical path through the
   /// overlapped shard windows plus the merge, NOT the per-shard sum.
   double critical_path_seconds = 0.0;
+};
+
+/// A sharded build's product, shaped like api::BuildResult.
+struct ShardedBuildResult {
+  Coreset coreset;  ///< Indices refer to the original dataset rows.
+  ShardedBuildDiagnostics diagnostics;
 };
 
 /// Runs the full sharded pipeline: plan, per-shard api::Build with derived

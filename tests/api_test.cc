@@ -289,6 +289,33 @@ TEST(SpecRoundTripTest, FastSpreadReductionReachesAlgorithmOne) {
       << "use_spread_reduction did not change the build";
 }
 
+TEST(SpecRoundTripTest, FastCoresetStagesFollowAlgorithmOne) {
+  // Stage names and order are consumed downstream (the end-to-end bench
+  // maps them to layer spans), so pin them exactly: spread reduction is
+  // listed only when it runs.
+  const Matrix points = TestMixture();
+  const auto StageNames = [&points](bool spread_reduction) {
+    api::CoresetSpec spec = SmallSpec("fast_coreset", 3);
+    api::FastOptions options;
+    options.use_spread_reduction = spread_reduction;
+    spec.options = options;
+    const api::FcStatusOr<api::BuildResult> built = api::Build(spec, points);
+    if (!built.ok()) return std::vector<std::string>{built.status().ToString()};
+    std::vector<std::string> names;
+    for (const api::StageTime& stage : built->diagnostics.stages) {
+      names.push_back(stage.name);
+    }
+    return names;
+  };
+  EXPECT_EQ(StageNames(false),
+            (std::vector<std::string>{"jl_projection", "seeding",
+                                      "sensitivities", "sampling"}));
+  EXPECT_EQ(StageNames(true),
+            (std::vector<std::string>{"jl_projection", "spread_reduction",
+                                      "seeding", "sensitivities",
+                                      "sampling"}));
+}
+
 TEST(StreamingFacadeTest, BuildStreamingReportsComposition) {
   const Matrix points = TestMixture(600);
   api::CoresetSpec spec = SmallSpec("uniform", 17);

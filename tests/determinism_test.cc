@@ -395,7 +395,7 @@ TEST(DeterminismTest, ConcurrentShardBuildsBitIdenticalToSequentialWalk) {
       ASSERT_TRUE(concurrent.ok()) << concurrent.status().message();
       ExpectCoresetsIdentical(sequential, concurrent->coreset);
       // The scheduler must actually have run every node.
-      EXPECT_EQ(concurrent->scheduler.tasks_executed,
+      EXPECT_EQ(concurrent->diagnostics.scheduler.tasks_executed,
                 shards == 1 ? 1u : shards + 1)
           << "shards=" << shards << " threads=" << threads;
     }

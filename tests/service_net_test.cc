@@ -140,6 +140,35 @@ TEST(SessionTest, InflightCapAndBackpressureGateReads) {
   EXPECT_TRUE(session.WantsRead());
 }
 
+TEST(SessionTest, UnsentOutputPausesReadsUntilDrained) {
+  // A client that pipelines requests and never reads its socket: every
+  // request is answered at once, so none stays open, and only the unsent
+  // output can stop the server from reading more.
+  SessionLimits limits;
+  limits.max_line_bytes = 1024;
+  Session session(1, -1, limits);
+  const std::string response(400, 'r');
+  size_t served = 0;
+  while (session.WantsRead() && served < 100) {
+    session.IngestBytes("q\n", 2);
+    auto request = session.NextRequest();
+    ASSERT_TRUE(request.has_value());
+    session.CompleteRequest(request->sequence, response);
+    ++served;
+  }
+  EXPECT_FALSE(session.WantsRead()) << "unsent output must pause reads";
+  EXPECT_EQ(served, 3u) << "401-byte lines reach the 1024-byte cap at 3";
+  EXPECT_GE(session.OutputSize(), limits.max_line_bytes);
+  EXPECT_LE(session.OutputSize(), limits.max_line_bytes + response.size());
+
+  // Reading resumes as soon as a partial write drops below the cap.
+  session.ConsumeOutput(session.OutputSize() - limits.max_line_bytes + 1);
+  EXPECT_TRUE(session.WantsRead());
+  session.ConsumeOutput(session.OutputSize());
+  EXPECT_TRUE(session.Drained());
+  EXPECT_TRUE(session.WantsRead());
+}
+
 // ---------------------------------------------------------------------
 // NetServer over real loopback sockets.
 // ---------------------------------------------------------------------

@@ -323,20 +323,20 @@ TEST(ShardedBuildTest, ShardDiagnosticsAndIndicesCoverTheDataset) {
   const auto result = service::BuildSharded(SmallSpec(), points, 4);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  ASSERT_EQ(result->shards.size(), 4u);
+  ASSERT_EQ(result->diagnostics.shards.size(), 4u);
   uint64_t previous_seed = 0;
-  for (const auto& shard : result->shards) {
+  for (const auto& shard : result->diagnostics.shards) {
     EXPECT_EQ(shard.build.input_rows, 100u);
     EXPECT_FALSE(shard.build.stages.empty())
         << "per-shard stage times must be reported";
     EXPECT_NE(shard.seed, previous_seed);
     previous_seed = shard.seed;
   }
-  EXPECT_TRUE(result->has_merge);
-  EXPECT_EQ(result->merge.stream_blocks, 4u);
-  EXPECT_GT(result->merge.stream_reduce_ops, 0u);
+  EXPECT_TRUE(result->diagnostics.has_merge);
+  EXPECT_EQ(result->diagnostics.merge.stream_blocks, 4u);
+  EXPECT_GT(result->diagnostics.merge.stream_reduce_ops, 0u);
   // Shard rows + merge re-reduction rows.
-  EXPECT_GT(result->points_processed, 400u);
+  EXPECT_GT(result->diagnostics.points_processed, 400u);
 
   // Sampled indices must refer to original dataset rows within the
   // owning shard's range (synthetic rows excepted).
@@ -671,10 +671,49 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
             first.Find("coreset_fingerprint")->string_value())
       << "cache hit must be bit-identical";
 
+  // The exact wire shape: a sharded miss reports its scheduler budget,
+  // shard windows and merge accounting; a hit ran no graph, so it reports
+  // parallelism 0 and carries no shard or merge keys.
+  const auto Keys = [](const JsonValue& object) {
+    std::set<std::string> keys;
+    for (const auto& [key, value] : object.object()) keys.insert(key);
+    return keys;
+  };
+  const std::set<std::string> hit_keys = {
+      "v", "ok", "verb", "dataset", "cache", "shards", "parallelism", "rows",
+      "dims", "total_weight", "coreset_fingerprint", "points_processed",
+      "bytes_processed", "build_seconds", "critical_path_seconds",
+      "seconds"};
+  std::set<std::string> miss_keys = hit_keys;
+  miss_keys.insert({"shard_seconds", "shard_windows", "merge_reduce_ops",
+                    "merge_seconds"});
+  EXPECT_EQ(Keys(first), miss_keys);
+  EXPECT_GE(first.Find("parallelism")->number_value(), 1.0);
+  EXPECT_EQ(first.Find("shard_seconds")->array().size(), 2u);
+  EXPECT_EQ(first.Find("shard_windows")->array().size(), 2u);
+  EXPECT_EQ(first.Find("bytes_processed")->number_value(),
+            first.Find("points_processed")->number_value() * 2 *
+                sizeof(double));
+  EXPECT_EQ(Keys(second), hit_keys);
+  EXPECT_EQ(second.Find("parallelism")->number_value(), 0.0);
+  EXPECT_EQ(second.Find("bytes_processed")->number_value(), 0.0);
+  EXPECT_EQ(second.Find("build_seconds")->number_value(), 0.0);
+  EXPECT_EQ(second.Find("critical_path_seconds")->number_value(), 0.0);
+
   const JsonValue stats = Handle(R"({"verb":"stats"})");
   EXPECT_EQ(stats.Find("cache")->Find("hits")->number_value(), 1.0);
   EXPECT_EQ(stats.Find("cache")->Find("misses")->number_value(), 1.0);
   EXPECT_EQ(stats.Find("datasets")->array().size(), 1u);
+  const JsonValue& scheduler = *stats.Find("scheduler");
+  EXPECT_EQ(Keys(scheduler),
+            (std::set<std::string>{"graphs_run", "tasks_executed",
+                                   "max_concurrent_shards",
+                                   "queue_high_water"}));
+  EXPECT_EQ(scheduler.Find("graphs_run")->number_value(), 1.0);
+  EXPECT_EQ(scheduler.Find("tasks_executed")->number_value(), 3.0)
+      << "two shard nodes plus the merge node";
+  EXPECT_GE(scheduler.Find("max_concurrent_shards")->number_value(), 1.0);
+  EXPECT_GE(scheduler.Find("queue_high_water")->number_value(), 1.0);
 
   const JsonValue evicted =
       Handle(R"({"verb":"evict","dataset":"p"})");

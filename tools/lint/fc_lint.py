@@ -1522,7 +1522,8 @@ _TAINT_CHUNK_SINKS = {
     "ParallelChunkCount", "PlanChunks", "PlanShards", "EffectiveShardCount",
 }
 _TAINT_SEED_SINKS = {"DeriveBuildSeed", "SplitMix64", "Rng"}
-_TAINT_RESULT_TYPES = {"Coreset", "BuildResult", "BuildResponse"}
+_TAINT_RESULT_TYPES = {"Coreset", "BuildResult", "BuildResponse",
+                       "ShardedBuildResult"}
 
 
 def _collect_typed_vars(tokens: List[Token],
