@@ -55,7 +55,7 @@ void Advise(const std::string& name, const Matrix& points, size_t k,
               points.rows(), points.cols(), imbalance, advice);
 
   // The spectrum, fastest to most accurate — every name resolves through
-  // the same registry the production entry points use.
+  // the same method table the production entry points use.
   const std::vector<std::string> spectrum = {
       "uniform", "lightweight", "welterweight", "sensitivity",
       "fast_coreset"};

@@ -1,15 +1,15 @@
 // Command-line compression tool: reads a headerless numeric CSV, builds a
-// coreset with any registered method, and writes the compressed rows plus
+// coreset with any method of the API, and writes the compressed rows plus
 // a weight column. A downstream user can feed the output into any
 // weighted clustering implementation.
 //
-// The method name goes straight into the API registry, so every
-// registered method (and alias) works here without this tool knowing any
-// of them — and an unknown name or inconsistent request comes back as a
-// readable error, not an abort.
+// The method name goes straight into the API's method table, so every
+// method (and alias) works here without this tool knowing any of them —
+// and an unknown name or inconsistent request comes back as a readable
+// error, not an abort.
 //
 //   fc_compress <input.csv> <output.csv> [method] [k] [m] [z] [seed]
-//     method: any registry name — uniform | lightweight | welterweight |
+//     method: any method name — uniform | lightweight | welterweight |
 //             sensitivity | fast_coreset (alias: fast, default) |
 //             group_sampling (alias: group) | bico | stream_km
 //     k: target cluster count (default 100)

@@ -1,12 +1,13 @@
 // CoresetAlgorithm: the polymorphic interface every compression method on
 // the spectrum implements — one-shot samplers and streaming builders
-// alike. Implementations live behind the string-keyed Registry
-// (src/api/registry.h) and self-register, so adding a method never means
-// growing an enum switch.
+// alike — and the fixed method table that names them. The table (in
+// src/api/algorithms.cc) is the one place that says which methods exist,
+// their aliases, and which MethodOptions alternative each one takes.
 
 #ifndef FASTCORESET_API_ALGORITHM_H_
 #define FASTCORESET_API_ALGORITHM_H_
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,19 +21,22 @@ namespace fastcoreset {
 namespace api {
 
 /// A compression method. Implementations are stateless (all per-build
-/// state flows through the arguments), so one shared instance per
-/// registered name serves every caller concurrently.
+/// state flows through the arguments), so the one table instance per
+/// method serves every caller concurrently.
 class CoresetAlgorithm {
  public:
   virtual ~CoresetAlgorithm() = default;
 
-  /// Canonical registry name ("fast_coreset", ...).
-  virtual std::string_view Name() const = 0;
+  /// Canonical name from the method table ("fast_coreset", ...).
+  std::string_view Name() const;
 
-  /// Method-specific spec checks on top of CoresetSpec::Validate():
-  /// rejects a mismatched options tag (e.g. welterweight options on a
-  /// uniform build) and any constraint the method imposes (bico needs
-  /// z == 2). The default accepts monostate only.
+  /// The method's options alternative with every knob at its default;
+  /// std::monostate for methods without knobs. A spec for this method may
+  /// hold std::monostate or this alternative, nothing else.
+  const MethodOptions& DefaultOptions() const;
+
+  /// Method-specific spec checks on top of CoresetSpec::Validate() and the
+  /// options-alternative check (bico needs z == 2). The default accepts.
   virtual FcStatus ValidateSpec(const CoresetSpec& spec) const;
 
   /// Method-specific *input* checks on top of the facade's common pass
@@ -53,21 +57,24 @@ class CoresetAlgorithm {
   virtual Coreset Build(const CoresetSpec& spec, const Matrix& points,
                         const std::vector<double>& weights, size_t m,
                         Rng& rng, BuildDiagnostics* diag) const = 0;
-
- protected:
-  /// Helper for ValidateSpec overrides: ok iff the spec's options hold
-  /// monostate or `AllowedT`.
-  template <typename AllowedT>
-  static FcStatus ExpectOptions(const CoresetSpec& spec) {
-    if (std::holds_alternative<std::monostate>(spec.options) ||
-        std::holds_alternative<AllowedT>(spec.options)) {
-      return FcStatus::Ok();
-    }
-    return FcStatus::InvalidArgument(
-        "method '" + spec.method + "' got sub-options for '" +
-        MethodOptionsName(spec.options) + "'");
-  }
 };
+
+/// Looks a method up in the method table by canonical name or alias
+/// ("fast" finds fast_coreset). Unknown names are kNotFound, with the
+/// canonical names listed in the message. The pointee lives for the
+/// process.
+FcStatusOr<const CoresetAlgorithm*> FindMethod(std::string_view name);
+
+/// The table's canonical method names, sorted (aliases excluded).
+std::vector<std::string> MethodNames();
+
+/// The spec's options with every default resolved: std::monostate
+/// becomes the method's DefaultOptions(), welterweight j = 0 becomes
+/// DefaultWelterweightJ(k), and bico max_features = 0 becomes `m`, the
+/// coreset size the build targets (spec.EffectiveM() for a one-shot
+/// build). Specs whose resolved options and common fields agree describe
+/// the same build. Expects a spec that passed api::ValidateSpec.
+MethodOptions ResolvedOptions(const CoresetSpec& spec, size_t m);
 
 }  // namespace api
 }  // namespace fastcoreset

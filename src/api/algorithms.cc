@@ -1,14 +1,14 @@
-// The built-in spectrum behind the registry: the paper's five compression
-// methods (uniform -> lightweight -> welterweight -> sensitivity ->
-// fast_coreset), the group-sampling extension, and the streaming builders
-// (bico, stream_km). Each adapter maps the facade's CoresetSpec onto the
-// method's internal entry point — calling it exactly once with the given
-// rng, so a facade build is bit-identical to the legacy free-function path
-// at the same seed (pinned by tests/api_test.cc).
+// The method table: the paper's five compression methods (uniform ->
+// lightweight -> welterweight -> sensitivity -> fast_coreset), the
+// group-sampling extension, and the streaming builders (bico, stream_km),
+// with their aliases and default options. Each adapter maps the facade's
+// CoresetSpec onto the method's internal entry point — calling it exactly
+// once with the given rng, so a facade build is bit-identical to the
+// legacy free-function path at the same seed (pinned by tests/api_test.cc).
 
 #include <utility>
 
-#include "src/api/registry.h"
+#include "src/api/algorithm.h"
 #include "src/common/timer.h"
 #include "src/core/fast_coreset.h"
 #include "src/core/group_sampling.h"
@@ -24,14 +24,11 @@ namespace api {
 
 namespace {
 
-/// Fetches the method's sub-options, falling back to defaults when the
-/// spec holds monostate. ValidateSpec has already rejected mismatches.
+/// The method's own sub-options with defaults resolved. ValidateSpec has
+/// already rejected another method's alternative.
 template <typename OptionsT>
-OptionsT OptionsOrDefault(const CoresetSpec& spec) {
-  if (const OptionsT* options = std::get_if<OptionsT>(&spec.options)) {
-    return *options;
-  }
-  return OptionsT{};
+OptionsT Resolved(const CoresetSpec& spec, size_t m) {
+  return std::get<OptionsT>(ResolvedOptions(spec, m));
 }
 
 void RecordStage(BuildDiagnostics* diag, const char* name, double seconds) {
@@ -40,12 +37,6 @@ void RecordStage(BuildDiagnostics* diag, const char* name, double seconds) {
 
 class UniformAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "uniform"; }
-
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    return ExpectOptions<UniformOptions>(spec);
-  }
-
   Coreset Build(const CoresetSpec&, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng& rng,
                 BuildDiagnostics* diag) const override {
@@ -58,12 +49,6 @@ class UniformAlgorithm : public CoresetAlgorithm {
 
 class LightweightAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "lightweight"; }
-
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    return ExpectOptions<LightweightOptions>(spec);
-  }
-
   Coreset Build(const CoresetSpec& spec, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng& rng,
                 BuildDiagnostics* diag) const override {
@@ -77,21 +62,11 @@ class LightweightAlgorithm : public CoresetAlgorithm {
 
 class WelterweightAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "welterweight"; }
-
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    return ExpectOptions<WelterweightOptions>(spec);
-  }
-
   Coreset Build(const CoresetSpec& spec, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng& rng,
                 BuildDiagnostics* diag) const override {
-    const WelterweightOptions options =
-        OptionsOrDefault<WelterweightOptions>(spec);
-    if (diag != nullptr) {
-      diag->j_effective =
-          options.j == 0 ? DefaultWelterweightJ(spec.k) : options.j;
-    }
+    const auto options = Resolved<WelterweightOptions>(spec, m);
+    if (diag != nullptr) diag->j_effective = options.j;
     Timer timer;
     Coreset coreset = WelterweightCoreset(points, weights, spec.k, options.j,
                                           m, spec.z, rng);
@@ -102,12 +77,6 @@ class WelterweightAlgorithm : public CoresetAlgorithm {
 
 class SensitivityAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "sensitivity"; }
-
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    return ExpectOptions<SensitivityOptions>(spec);
-  }
-
   Coreset Build(const CoresetSpec& spec, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng& rng,
                 BuildDiagnostics* diag) const override {
@@ -122,16 +91,10 @@ class SensitivityAlgorithm : public CoresetAlgorithm {
 
 class FastCoresetAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "fast_coreset"; }
-
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    return ExpectOptions<FastOptions>(spec);
-  }
-
   Coreset Build(const CoresetSpec& spec, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng& rng,
                 BuildDiagnostics* diag) const override {
-    const FastOptions options = OptionsOrDefault<FastOptions>(spec);
+    const auto options = Resolved<FastOptions>(spec, m);
     FastCoresetOptions core;
     core.k = spec.k;
     core.m = m;
@@ -157,16 +120,10 @@ class FastCoresetAlgorithm : public CoresetAlgorithm {
 
 class GroupSamplingAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "group_sampling"; }
-
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    return ExpectOptions<GroupOptions>(spec);
-  }
-
   Coreset Build(const CoresetSpec& spec, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng& rng,
                 BuildDiagnostics* diag) const override {
-    const GroupOptions options = OptionsOrDefault<GroupOptions>(spec);
+    const auto options = Resolved<GroupOptions>(spec, m);
     GroupSamplingOptions core;
     core.k = spec.k;
     core.m = m;
@@ -182,14 +139,12 @@ class GroupSamplingAlgorithm : public CoresetAlgorithm {
 
 class BicoAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "bico"; }
-
   FcStatus ValidateSpec(const CoresetSpec& spec) const override {
     if (spec.z != 2) {
       return FcStatus::InvalidArgument(
           "bico supports z == 2 (k-means) only");
     }
-    return ExpectOptions<api::BicoOptions>(spec);
+    return FcStatus::Ok();
   }
 
   FcStatus ValidateInput(
@@ -209,10 +164,9 @@ class BicoAlgorithm : public CoresetAlgorithm {
   Coreset Build(const CoresetSpec& spec, const Matrix& points,
                 const std::vector<double>& weights, size_t m, Rng&,
                 BuildDiagnostics* diag) const override {
-    const api::BicoOptions options =
-        OptionsOrDefault<api::BicoOptions>(spec);
+    const auto options = Resolved<api::BicoOptions>(spec, m);
     fastcoreset::BicoOptions core;
-    core.max_features = options.max_features == 0 ? m : options.max_features;
+    core.max_features = options.max_features;
     core.initial_threshold = options.initial_threshold;
     core.max_depth = options.max_depth;
     Timer timer;
@@ -228,14 +182,12 @@ class BicoAlgorithm : public CoresetAlgorithm {
 
 class StreamKmAlgorithm : public CoresetAlgorithm {
  public:
-  std::string_view Name() const override { return "stream_km"; }
-
   FcStatus ValidateSpec(const CoresetSpec& spec) const override {
     if (spec.z != 2) {
       return FcStatus::InvalidArgument(
           "stream_km supports z == 2 (k-means) only");
     }
-    return ExpectOptions<StreamKmOptions>(spec);
+    return FcStatus::Ok();
   }
 
   Coreset Build(const CoresetSpec&, const Matrix& points,
@@ -248,28 +200,107 @@ class StreamKmAlgorithm : public CoresetAlgorithm {
   }
 };
 
-FC_REGISTER_CORESET_ALGORITHM("uniform", UniformAlgorithm);
-FC_REGISTER_CORESET_ALGORITHM("lightweight", LightweightAlgorithm);
-FC_REGISTER_CORESET_ALGORITHM("welterweight", WelterweightAlgorithm);
-FC_REGISTER_CORESET_ALGORITHM("sensitivity", SensitivityAlgorithm);
-FC_REGISTER_CORESET_ALGORITHM("fast_coreset", FastCoresetAlgorithm,
-                              {"fast"});
-FC_REGISTER_CORESET_ALGORITHM("group_sampling", GroupSamplingAlgorithm,
-                              {"group"});
-FC_REGISTER_CORESET_ALGORITHM("bico", BicoAlgorithm);
-FC_REGISTER_CORESET_ALGORITHM("stream_km", StreamKmAlgorithm, {"streamkm"});
+// Stateless singletons; constinit because FindMethod may run from any
+// other translation unit's static initializers.
+constinit const UniformAlgorithm kUniform;
+constinit const LightweightAlgorithm kLightweight;
+constinit const WelterweightAlgorithm kWelterweight;
+constinit const SensitivityAlgorithm kSensitivity;
+constinit const FastCoresetAlgorithm kFastCoreset;
+constinit const GroupSamplingAlgorithm kGroupSampling;
+constinit const BicoAlgorithm kBico;
+constinit const StreamKmAlgorithm kStreamKm;
+
+struct Method {
+  std::string_view name;
+  std::string_view alias;  ///< Empty when the method has none.
+  const CoresetAlgorithm* algorithm;
+  MethodOptions defaults;  ///< std::monostate: the method has no knobs.
+};
+
+/// Sorted by name: MethodNames() and the not-found message list this order.
+constinit const Method kMethods[] = {
+    {"bico", "", &kBico, api::BicoOptions{}},
+    {"fast_coreset", "fast", &kFastCoreset, FastOptions{}},
+    {"group_sampling", "group", &kGroupSampling, GroupOptions{}},
+    {"lightweight", "", &kLightweight, {}},
+    {"sensitivity", "", &kSensitivity, {}},
+    {"stream_km", "streamkm", &kStreamKm, {}},
+    {"uniform", "", &kUniform, {}},
+    {"welterweight", "", &kWelterweight, WelterweightOptions{}},
+};
+
+const Method* FindRow(std::string_view name) {
+  for (const Method& method : kMethods) {
+    if (name == method.name ||
+        (!method.alias.empty() && name == method.alias)) {
+      return &method;
+    }
+  }
+  return nullptr;
+}
+
+/// The table row holding `algorithm`; an empty row (no name, no knobs)
+/// for a subclass defined outside the table.
+const Method& RowOf(const CoresetAlgorithm* algorithm) {
+  static constexpr Method kUnlisted{};
+  for (const Method& method : kMethods) {
+    if (method.algorithm == algorithm) return method;
+  }
+  return kUnlisted;
+}
 
 }  // namespace
 
-namespace internal {
+std::string_view CoresetAlgorithm::Name() const { return RowOf(this).name; }
 
-// Linker anchor: fc_api is a static library, so this translation unit —
-// and with it the self-registrations above — is only linked into a binary
-// if some symbol here is referenced. Registry::Instance() calls this
-// no-op, guaranteeing every registry user sees the built-ins.
-void EnsureBuiltinAlgorithmsLinked() {}
+const MethodOptions& CoresetAlgorithm::DefaultOptions() const {
+  return RowOf(this).defaults;
+}
 
-}  // namespace internal
+FcStatus CoresetAlgorithm::ValidateSpec(const CoresetSpec& /*spec*/) const {
+  return FcStatus::Ok();
+}
+
+FcStatus CoresetAlgorithm::ValidateInput(
+    const Matrix& /*points*/, const std::vector<double>& /*weights*/) const {
+  return FcStatus::Ok();
+}
+
+FcStatusOr<const CoresetAlgorithm*> FindMethod(std::string_view name) {
+  if (const Method* method = FindRow(name)) {
+    return FcStatusOr<const CoresetAlgorithm*>(method->algorithm);
+  }
+  std::string known;
+  for (const Method& method : kMethods) {
+    if (!known.empty()) known += ", ";
+    known += method.name;
+  }
+  return FcStatus::NotFound("no coreset method named '" + std::string(name) +
+                            "' (registered: " + known + ")");
+}
+
+std::vector<std::string> MethodNames() {
+  std::vector<std::string> names;
+  for (const Method& method : kMethods) names.emplace_back(method.name);
+  return names;
+}
+
+MethodOptions ResolvedOptions(const CoresetSpec& spec, size_t m) {
+  MethodOptions options = spec.options;
+  if (std::holds_alternative<std::monostate>(options)) {
+    if (const Method* method = FindRow(spec.method)) {
+      options = method->defaults;
+    }
+  }
+  if (auto* welterweight = std::get_if<WelterweightOptions>(&options)) {
+    if (welterweight->j == 0) welterweight->j = DefaultWelterweightJ(spec.k);
+  }
+  if (auto* bico = std::get_if<BicoOptions>(&options)) {
+    if (bico->max_features == 0) bico->max_features = m;
+  }
+  return options;
+}
 
 }  // namespace api
 }  // namespace fastcoreset

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "src/api/fastcoreset.h"
 #include "src/common/timer.h"
@@ -16,14 +17,19 @@ namespace api {
 namespace {
 
 /// The shared request prologue every entry point runs: common spec
-/// invariants, registry lookup, and the method's own spec checks.
+/// invariants, method-table lookup, the options alternative, and the
+/// method's own spec checks.
 FcStatusOr<const CoresetAlgorithm*> ResolveAndValidate(
     const CoresetSpec& spec) {
   FcStatus status = spec.Validate();
   if (!status.ok()) return status;
-  FcStatusOr<const CoresetAlgorithm*> algo =
-      Registry::Instance().Get(spec.method);
+  FcStatusOr<const CoresetAlgorithm*> algo = FindMethod(spec.method);
   if (!algo.ok()) return algo.status();
+  if (!std::holds_alternative<std::monostate>(spec.options) &&
+      spec.options.index() != algo.value()->DefaultOptions().index()) {
+    return FcStatus::InvalidArgument("method '" + spec.method +
+                                     "' got another method's sub-options");
+  }
   status = algo.value()->ValidateSpec(spec);
   if (!status.ok()) return status;
   return algo;
@@ -60,7 +66,7 @@ FcStatus ValidateInput(const Matrix& points,
 }
 
 /// The streaming CoresetBuilder closure over a resolved algorithm. The
-/// registry instance outlives every closure (process-lived). The
+/// table instance outlives every closure (process-lived). The
 /// CoresetBuilder signature has no status channel, so per-call inputs
 /// the method cannot digest are a caller contract violation — checked
 /// here with the facade's own diagnostics so the failure names the real

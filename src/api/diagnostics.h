@@ -25,7 +25,7 @@ using fastcoreset::StageTime;
 /// of a build: the service's sharded diagnostics hold one per shard plus
 /// one for the merge rather than copying its fields.
 struct BuildDiagnostics {
-  std::string method;        ///< Canonical registry name used.
+  std::string method;        ///< Canonical method name used.
   uint64_t seed = 0;         ///< Rng seed (meaningful when !external_rng).
   bool external_rng = false; ///< Randomness came from a caller-owned Rng.
 

@@ -14,12 +14,12 @@
 // The facade covers the paper's whole sampling spectrum (uniform ->
 // lightweight -> welterweight -> sensitivity -> fast_coreset), the
 // group-sampling extension, and the streaming builders (bico, stream_km)
-// through one spec/registry/diagnostics surface:
+// through one spec/method-table/diagnostics surface:
 //
 //   - CoresetSpec (src/api/spec.h): request-shaped options; Validate()
 //     rejects inconsistent requests instead of aborting.
-//   - Registry (src/api/registry.h): string-keyed, self-registering
-//     method registry — new methods plug in without a dispatch switch.
+//   - FindMethod / MethodNames (src/api/algorithm.h): the fixed method
+//     table — canonical names, aliases, and each method's options.
 //   - BuildResult (src/api/diagnostics.h): the coreset plus structured
 //     diagnostics (per-stage wall-clock, effective parameters, volumes).
 //   - FcStatus / FcStatusOr (src/api/status.h): recoverable errors.
@@ -38,7 +38,6 @@
 
 #include "src/api/algorithm.h"
 #include "src/api/diagnostics.h"
-#include "src/api/registry.h"
 #include "src/api/spec.h"
 #include "src/api/status.h"
 #include "src/clustering/types.h"
@@ -51,7 +50,8 @@
 namespace fastcoreset {
 namespace api {
 
-/// Full request validation: spec.Validate(), registry lookup, and the
+/// Full request validation: spec.Validate(), method-table lookup, the
+/// options alternative against the method's DefaultOptions(), and the
 /// method's own ValidateSpec(). Build()/MakeBuilder() run this for you;
 /// call it directly to vet a request before accepting it (e.g. at a
 /// service boundary).

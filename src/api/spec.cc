@@ -10,44 +10,16 @@ namespace api {
 
 namespace {
 
-/// Overload set for std::visit in MethodOptionsName.
-struct OptionsNamer {
-  std::string operator()(std::monostate) const { return "default"; }
-  std::string operator()(const UniformOptions&) const { return "uniform"; }
-  std::string operator()(const LightweightOptions&) const {
-    return "lightweight";
-  }
-  std::string operator()(const WelterweightOptions&) const {
-    return "welterweight";
-  }
-  std::string operator()(const SensitivityOptions&) const {
-    return "sensitivity";
-  }
-  std::string operator()(const FastOptions&) const { return "fast_coreset"; }
-  std::string operator()(const GroupOptions&) const {
-    return "group_sampling";
-  }
-  std::string operator()(const BicoOptions&) const { return "bico"; }
-  std::string operator()(const StreamKmOptions&) const { return "stream_km"; }
-};
-
 /// Range checks for each sub-option struct, independent of the method the
 /// spec names (a malformed sub-option is invalid even when mismatched).
 struct OptionsValidator {
   FcStatus operator()(std::monostate) const { return FcStatus::Ok(); }
-  FcStatus operator()(const UniformOptions&) const { return FcStatus::Ok(); }
-  FcStatus operator()(const LightweightOptions&) const {
-    return FcStatus::Ok();
-  }
   FcStatus operator()(const WelterweightOptions& o) const {
     if (o.j > k) {
       return FcStatus::InvalidArgument(
           "welterweight j (" + std::to_string(o.j) +
           ") exceeds k (" + std::to_string(k) + ")");
     }
-    return FcStatus::Ok();
-  }
-  FcStatus operator()(const SensitivityOptions&) const {
     return FcStatus::Ok();
   }
   FcStatus operator()(const FastOptions& o) const {
@@ -90,16 +62,11 @@ struct OptionsValidator {
     }
     return FcStatus::Ok();
   }
-  FcStatus operator()(const StreamKmOptions&) const { return FcStatus::Ok(); }
 
   size_t k;
 };
 
 }  // namespace
-
-std::string MethodOptionsName(const MethodOptions& options) {
-  return std::visit(OptionsNamer{}, options);
-}
 
 FcStatus CoresetSpec::Validate() const {
   if (method.empty()) {

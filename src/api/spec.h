@@ -10,7 +10,9 @@
 // The spec deliberately does not include the core per-method option
 // structs (FastCoresetOptions etc.): the facade owns its own stable
 // surface and maps it onto the internals, so internal option churn never
-// leaks into serialized specs.
+// leaks into serialized specs. Each sub-options struct names its knobs
+// once, in a static Fields() list of (wire name, member) pairs; the
+// request reader and the cache key are generic over that list.
 
 #ifndef FASTCORESET_API_SPEC_H_
 #define FASTCORESET_API_SPEC_H_
@@ -25,11 +27,9 @@
 namespace fastcoreset {
 namespace api {
 
-/// Sub-options for "uniform" (none — the tag documents intent).
-struct UniformOptions {};
-
-/// Sub-options for "lightweight" (none).
-struct LightweightOptions {};
+// Every struct below lists its knobs once, in Fields(self, f): one
+// f(wire_name, member) call per knob. The fc_serve protocol reader, its
+// unknown-key check, and the service cache key all walk that list.
 
 /// Sub-options for "welterweight": the interpolation knob of the paper's
 /// Section 5.2 spectrum.
@@ -38,16 +38,20 @@ struct WelterweightOptions {
   /// ceil(log2 k). j = 1 behaves like lightweight, j = k like full
   /// sensitivity sampling.
   size_t j = 0;
-};
 
-/// Sub-options for "sensitivity" (none).
-struct SensitivityOptions {};
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) { f("j", self.j); }
+};
 
 /// Seeding algorithm choices for "fast_coreset".
 enum class FastSeeder {
   kFastKMeansPlusPlus,  ///< Quadtree D^z sampling (the paper's default).
   kTreeGreedy,          ///< HST top-down greedy (Section 8.4 extension).
 };
+
+/// Wire names of the FastSeeder values, indexed by enumerator.
+inline constexpr const char* kFastSeederNames[] = {"fast_kmeans++",
+                                                   "tree_greedy"};
 
 /// Sub-options for "fast_coreset" (Algorithm 1). Mirrors the method-
 /// specific knobs of core FastCoresetOptions; k/m/z come from the spec.
@@ -62,11 +66,28 @@ struct FastOptions {
   bool seeding_full_depth_tree = false;
   bool seeding_rejection_sampling = true;
   int seeding_max_rejections = 512;
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) {
+    f("use_jl", self.use_jl);
+    f("jl_eps", self.jl_eps);
+    f("use_spread_reduction", self.use_spread_reduction);
+    f("center_correction", self.center_correction);
+    f("correction_eps", self.correction_eps);
+    f("seeding_max_depth", self.seeding_max_depth);
+    f("seeding_full_depth_tree", self.seeding_full_depth_tree);
+    f("seeding_rejection_sampling", self.seeding_rejection_sampling);
+    f("seeding_max_rejections", self.seeding_max_rejections);
+    f("seeder", self.seeder);
+  }
 };
 
 /// Sub-options for "group_sampling" (STOC'21 extension).
 struct GroupOptions {
   double eps = 0.5;  ///< Ring-threshold parameter.
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) { f("eps", self.eps); }
 };
 
 /// Sub-options for the streaming "bico" builder (z = 2 only).
@@ -76,29 +97,30 @@ struct BicoOptions {
   size_t max_features = 0;
   double initial_threshold = 0.0;  ///< 0 derives it from the first points.
   int max_depth = 16;              ///< CF-tree depth cap.
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) {
+    f("max_features", self.max_features);
+    f("initial_threshold", self.initial_threshold);
+    f("max_depth", self.max_depth);
+  }
 };
 
-/// Sub-options for the streaming "stream_km" builder (none; z = 2 only).
-struct StreamKmOptions {};
-
 /// Tagged per-method sub-options. std::monostate means "the method's
-/// defaults"; a non-monostate alternative must match the spec's method
-/// (checked by the method's ValidateSpec), so a welterweight `j` can never
-/// again silently ride into a method that ignores it.
-using MethodOptions =
-    std::variant<std::monostate, UniformOptions, LightweightOptions,
-                 WelterweightOptions, SensitivityOptions, FastOptions,
-                 GroupOptions, BicoOptions, StreamKmOptions>;
-
-/// Short human-readable tag of a MethodOptions alternative ("default",
-/// "welterweight", ...) — used in validation error messages.
-std::string MethodOptionsName(const MethodOptions& options);
+/// defaults" and is the only value for methods without knobs (uniform,
+/// lightweight, sensitivity, stream_km). Any other alternative must be the
+/// spec's method's own (api::ValidateSpec checks it against the method
+/// table), so a welterweight `j` can never silently ride into a method
+/// that ignores it.
+using MethodOptions = std::variant<std::monostate, WelterweightOptions,
+                                   FastOptions, GroupOptions, BicoOptions>;
 
 /// The unified build request.
 struct CoresetSpec {
-  /// Registry key of the compression method ("uniform", "lightweight",
-  /// "welterweight", "sensitivity", "fast_coreset", "group_sampling",
-  /// "bico", "stream_km", or any externally registered name/alias).
+  /// Name or alias of the compression method in the method table
+  /// ("uniform", "lightweight", "welterweight", "sensitivity",
+  /// "fast_coreset"/"fast", "group_sampling"/"group", "bico",
+  /// "stream_km"/"streamkm"; see src/api/algorithm.h).
   std::string method = "fast_coreset";
 
   size_t k = 100;    ///< Cluster count the coreset must support.
@@ -119,9 +141,9 @@ struct CoresetSpec {
   /// Validates every method-independent invariant: k >= 1, z in {1, 2},
   /// finite non-negative weights, and the sub-option structs' own ranges
   /// (jl_eps > 0, j <= k, ...). Method-specific consistency — including
-  /// "the options tag matches the method" — is checked on top by the
-  /// algorithm's ValidateSpec, which Build() always runs; nothing aborts
-  /// on a bad request.
+  /// "the options alternative is the method's own" — is checked on top by
+  /// api::ValidateSpec, which Build() always runs; nothing aborts on a bad
+  /// request.
   FcStatus Validate() const;
 };
 

@@ -69,7 +69,6 @@ inline constexpr int kNetServer = 5;          ///< NetServer sessions/queue.
 inline constexpr int kServiceScheduler = 10;  ///< CoresetService totals.
 inline constexpr int kDatasetStore = 20;      ///< DatasetStore bindings.
 inline constexpr int kCoresetCache = 30;      ///< CoresetCache LRU state.
-inline constexpr int kRegistry = 40;          ///< api::Registry entries.
 inline constexpr int kTaskGraph = 50;         ///< TaskGraph ready/running.
 inline constexpr int kPoolDispatch = 60;      ///< ThreadPool dispatch.
 
@@ -249,8 +248,7 @@ inline Mutex tier_net_server;
 inline Mutex tier_service_scheduler FC_ACQUIRED_AFTER(tier_net_server);
 inline Mutex tier_dataset_store FC_ACQUIRED_AFTER(tier_service_scheduler);
 inline Mutex tier_coreset_cache FC_ACQUIRED_AFTER(tier_dataset_store);
-inline Mutex tier_registry FC_ACQUIRED_AFTER(tier_coreset_cache);
-inline Mutex tier_task_graph FC_ACQUIRED_AFTER(tier_registry);
+inline Mutex tier_task_graph FC_ACQUIRED_AFTER(tier_coreset_cache);
 inline Mutex tier_pool_dispatch FC_ACQUIRED_AFTER(tier_task_graph);
 
 }  // namespace lock_rank

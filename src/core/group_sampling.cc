@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "src/clustering/kmeans_plus_plus.h"
@@ -56,6 +57,15 @@ void SampleFromPool(const Matrix& points, const std::vector<double>& weights,
   coreset->points.AppendRows(rows);
 }
 
+/// A whole log2 value as a ring index, clamped in double before the cast:
+/// for a tiny eps the ring factors under/overflow and their log2 is -inf
+/// or +inf.
+int RingIndex(double j) {
+  constexpr double kLowest = std::numeric_limits<int>::min();
+  constexpr double kHighest = std::numeric_limits<int>::max();
+  return static_cast<int>(std::clamp(j, kLowest, kHighest));
+}
+
 }  // namespace
 
 Coreset GroupSamplingCoreset(const Matrix& points,
@@ -91,8 +101,8 @@ Coreset GroupSamplingFromSolution(const Matrix& points,
   const double z = static_cast<double>(options.z);
   const double close_factor = std::pow(options.eps / 8.0, z);
   const double outer_factor = std::pow(8.0 / options.eps, z);
-  const int j_min = static_cast<int>(std::floor(std::log2(close_factor)));
-  const int j_max = static_cast<int>(std::ceil(std::log2(outer_factor)));
+  const int j_min = RingIndex(std::floor(std::log2(close_factor)));
+  const int j_max = RingIndex(std::ceil(std::log2(outer_factor)));
 
   // Partition points: close -> per-cluster representative; outer -> one
   // importance pool; middle -> per-ring pools. Pool masses are
@@ -123,9 +133,8 @@ Coreset GroupSamplingFromSolution(const Matrix& points,
       outer_mass_total += outer_mass.back();
       continue;
     }
-    int j = static_cast<int>(std::floor(std::log2(cost / avg)));
-    j = std::clamp(j, j_min, j_max);
-    rings[j].push_back(i);
+    const double j = std::floor(std::log2(cost / avg));
+    rings[static_cast<int>(std::clamp<double>(j, j_min, j_max))].push_back(i);
   }
 
   Coreset coreset;

@@ -10,8 +10,9 @@ size_t JlTargetDim(size_t k, double eps, size_t original_dim) {
   const double dims =
       std::ceil(std::log(static_cast<double>(std::max<size_t>(k, 2))) /
                 (eps * eps));
-  const size_t target = static_cast<size_t>(std::max(1.0, dims));
-  return std::min(target, original_dim);
+  // Compare before the cast: a tiny eps makes dims exceed every size_t.
+  if (dims >= static_cast<double>(original_dim)) return original_dim;
+  return std::max<size_t>(1, static_cast<size_t>(dims));
 }
 
 Matrix JlProject(const Matrix& points, size_t target_dim, Rng& rng,

@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "src/api/registry.h"
+#include "src/api/algorithm.h"
 #include "src/data/coreset_io.h"
 #include "src/service/fingerprint.h"
 
@@ -149,107 +151,87 @@ FcStatus ReadInt(const JsonValue& obj, const char* key, int* out) {
 
 /// Typo guard: every verb names its full field set; anything else is an
 /// error rather than a silently ignored knob.
-FcStatus CheckAllowedKeys(const JsonValue& obj,
-                          std::initializer_list<const char*> allowed) {
+template <typename IsKnown>
+FcStatus CheckKeys(const JsonValue& obj, IsKnown is_known) {
   for (const auto& [key, value] : obj.object()) {
-    bool known = false;
-    for (const char* candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    if (!is_known(key)) {
       return FcStatus::InvalidArgument("unknown field '" + key + "'");
     }
   }
   return FcStatus::Ok();
 }
 
-/// Per-method options sub-object -> MethodOptions alternative.
-FcStatusOr<api::MethodOptions> OptionsFromJson(const std::string& canonical,
-                                               const JsonValue& options) {
+FcStatus CheckAllowedKeys(const JsonValue& obj,
+                          std::initializer_list<const char*> allowed) {
+  return CheckKeys(obj, [allowed](const std::string& key) {
+    for (const char* candidate : allowed) {
+      if (key == candidate) return true;
+    }
+    return false;
+  });
+}
+
+/// FastSeeder by wire name (api::kFastSeederNames). An empty string keeps
+/// the default, as an absent key does.
+FcStatus ReadSeeder(const JsonValue& obj, const char* key,
+                    api::FastSeeder* out) {
+  std::string name;
+  FcStatus status = ReadString(obj, key, &name);
+  if (!status.ok() || name.empty()) return status;
+  for (size_t i = 0; i < std::size(api::kFastSeederNames); ++i) {
+    if (name == api::kFastSeederNames[i]) {
+      *out = static_cast<api::FastSeeder>(i);
+      return FcStatus::Ok();
+    }
+  }
+  return FcStatus::InvalidArgument(std::string(key) + " must be '" +
+                                   api::kFastSeederNames[0] + "' or '" +
+                                   api::kFastSeederNames[1] + "'");
+}
+
+/// Per-method options sub-object -> the method's MethodOptions
+/// alternative. The allowed keys and their readers both come from the
+/// options struct's Fields() list; methods without knobs take only {}.
+FcStatusOr<api::MethodOptions> OptionsFromJson(
+    const api::CoresetAlgorithm& algo, const JsonValue& options) {
   if (!options.is_object()) {
     return FcStatus::InvalidArgument("field 'options' must be an object");
   }
-  if (canonical == "welterweight") {
-    FcStatus status = CheckAllowedKeys(options, {"j"});
-    if (!status.ok()) return status;
-    api::WelterweightOptions out;
-    status = ReadSizeT(options, "j", &out.j);
-    if (!status.ok()) return status;
-    return api::MethodOptions(out);
-  }
-  if (canonical == "fast_coreset") {
-    FcStatus status = CheckAllowedKeys(
-        options, {"use_jl", "jl_eps", "use_spread_reduction",
-                  "center_correction", "correction_eps", "seeder",
-                  "seeding_max_depth", "seeding_full_depth_tree",
-                  "seeding_rejection_sampling", "seeding_max_rejections"});
-    if (!status.ok()) return status;
-    api::FastOptions out;
-    if (!(status = ReadBool(options, "use_jl", &out.use_jl)).ok() ||
-        !(status = ReadDouble(options, "jl_eps", &out.jl_eps)).ok() ||
-        !(status = ReadBool(options, "use_spread_reduction",
-                            &out.use_spread_reduction))
-             .ok() ||
-        !(status = ReadBool(options, "center_correction",
-                            &out.center_correction))
-             .ok() ||
-        !(status = ReadDouble(options, "correction_eps",
-                              &out.correction_eps))
-             .ok() ||
-        !(status = ReadInt(options, "seeding_max_depth",
-                           &out.seeding_max_depth))
-             .ok() ||
-        !(status = ReadBool(options, "seeding_full_depth_tree",
-                            &out.seeding_full_depth_tree))
-             .ok() ||
-        !(status = ReadBool(options, "seeding_rejection_sampling",
-                            &out.seeding_rejection_sampling))
-             .ok() ||
-        !(status = ReadInt(options, "seeding_max_rejections",
-                           &out.seeding_max_rejections))
-             .ok()) {
-      return status;
-    }
-    std::string seeder;
-    status = ReadString(options, "seeder", &seeder);
-    if (!status.ok()) return status;
-    if (seeder == "tree_greedy") {
-      out.seeder = api::FastSeeder::kTreeGreedy;
-    } else if (!seeder.empty() && seeder != "fast_kmeans++") {
-      return FcStatus::InvalidArgument(
-          "seeder must be 'fast_kmeans++' or 'tree_greedy'");
-    }
-    return api::MethodOptions(out);
-  }
-  if (canonical == "group_sampling") {
-    FcStatus status = CheckAllowedKeys(options, {"eps"});
-    if (!status.ok()) return status;
-    api::GroupOptions out;
-    status = ReadDouble(options, "eps", &out.eps);
-    if (!status.ok()) return status;
-    return api::MethodOptions(out);
-  }
-  if (canonical == "bico") {
-    FcStatus status = CheckAllowedKeys(
-        options, {"max_features", "initial_threshold", "max_depth"});
-    if (!status.ok()) return status;
-    api::BicoOptions out;
-    if (!(status = ReadSizeT(options, "max_features", &out.max_features))
-             .ok() ||
-        !(status = ReadDouble(options, "initial_threshold",
-                              &out.initial_threshold))
-             .ok() ||
-        !(status = ReadInt(options, "max_depth", &out.max_depth)).ok()) {
-      return status;
-    }
-    return api::MethodOptions(out);
-  }
-  if (options.object().empty()) return api::MethodOptions();
-  return FcStatus::InvalidArgument("method '" + canonical +
-                                   "' takes no options");
+  return std::visit(
+      [&](auto out) -> FcStatusOr<api::MethodOptions> {
+        using OptionsT = decltype(out);
+        if constexpr (std::is_same_v<OptionsT, std::monostate>) {
+          if (options.object().empty()) return api::MethodOptions();
+          return FcStatus::InvalidArgument(
+              "method '" + std::string(algo.Name()) + "' takes no options");
+        } else {
+          FcStatus status = CheckKeys(options, [&](const std::string& key) {
+            bool known = false;
+            OptionsT::Fields(out, [&](const char* name, auto&) {
+              known = known || key == name;
+            });
+            return known;
+          });
+          OptionsT::Fields(out, [&](const char* name, auto& member) {
+            if (!status.ok()) return;
+            using T = std::decay_t<decltype(member)>;
+            if constexpr (std::is_same_v<T, bool>) {
+              status = ReadBool(options, name, &member);
+            } else if constexpr (std::is_same_v<T, double>) {
+              status = ReadDouble(options, name, &member);
+            } else if constexpr (std::is_same_v<T, size_t>) {
+              status = ReadSizeT(options, name, &member);
+            } else if constexpr (std::is_same_v<T, int>) {
+              status = ReadInt(options, name, &member);
+            } else {
+              status = ReadSeeder(options, name, &member);
+            }
+          });
+          if (!status.ok()) return status;
+          return api::MethodOptions(out);
+        }
+      },
+      algo.DefaultOptions());
 }
 
 FcStatusOr<Matrix> PointsFromJson(const JsonValue& rows) {
@@ -559,10 +541,10 @@ FcStatusOr<api::CoresetSpec> SpecFromJson(const JsonValue& request) {
   }
   if (const JsonValue* options = request.Find("options")) {
     FcStatusOr<const api::CoresetAlgorithm*> algo =
-        api::Registry::Instance().Get(spec.method);
+        api::FindMethod(spec.method);
     if (!algo.ok()) return algo.status();
     FcStatusOr<api::MethodOptions> parsed =
-        OptionsFromJson(std::string(algo.value()->Name()), *options);
+        OptionsFromJson(*algo.value(), *options);
     if (!parsed.ok()) return parsed.status();
     spec.options = std::move(parsed.value());
   }

@@ -26,7 +26,9 @@
 // task-graph scheduler totals, and the attached transport's load gauges
 // (queue_depth / sessions_active / requests_rejected — all zero in
 // stdin/stdout mode). Unknown fields are rejected — a typoed knob must
-// fail loudly, not silently fall back to a default.
+// fail loudly, not silently fall back to a default. The "options" keys of
+// each method are its options struct's Fields() list (src/api/spec.h);
+// methods without knobs accept only an empty object.
 //
 // Transport-independent request context: every verb accepts an optional
 // "id" member (string or number) — a client-chosen correlation token

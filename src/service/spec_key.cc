@@ -1,10 +1,10 @@
 #include "src/service/spec_key.h"
 
-#include <cstdio>
+#include <string>
+#include <type_traits>
 #include <variant>
 
-#include "src/api/registry.h"
-#include "src/core/welterweight_coreset.h"
+#include "src/api/algorithm.h"
 #include "src/service/fingerprint.h"
 #include "src/service/json.h"
 
@@ -13,109 +13,50 @@ namespace service {
 
 namespace {
 
-/// %.17g — doubles round-trip exactly, so 0.7 and 0.7000000000000001 get
-/// distinct (correct) keys.
-std::string Num(double value) { return JsonNumber(value); }
-
-/// Typed sub-options with defaults resolved: monostate means "the
-/// method's defaults", so both spell the same build and must serialize
-/// identically.
-template <typename OptionsT>
-OptionsT Resolve(const api::MethodOptions& options) {
-  if (const OptionsT* typed = std::get_if<OptionsT>(&options)) return *typed;
-  return OptionsT{};
+/// One knob's value. Doubles use %.17g, so they round-trip exactly and
+/// 0.7 and 0.7000000000000001 get distinct (correct) keys.
+template <typename T>
+std::string KnobValue(T value) {
+  if constexpr (std::is_same_v<T, double>) {
+    return JsonNumber(value);
+  } else if constexpr (std::is_same_v<T, api::FastSeeder>) {
+    return api::kFastSeederNames[static_cast<int>(value)];
+  } else {
+    return std::to_string(value);  // bool, int, size_t.
+  }
 }
 
-/// Value-faithful serialization of whichever alternative the variant
-/// holds, with no method-default resolution — the fallback for methods
-/// the canonicalizer does not know (externally registered ones, whose
-/// ValidateSpec may accept any tag). Every option value lands in the
-/// string, so two specs differing only in an option can never share a
-/// key; the only cost of not canonicalizing is a duplicate cache slot
-/// when monostate and explicit defaults describe the same build.
-struct AlternativeSerializer {
-  std::string operator()(std::monostate) const { return "default"; }
-  std::string operator()(const api::UniformOptions&) const { return "{}"; }
-  std::string operator()(const api::LightweightOptions&) const {
-    return "{}";
-  }
-  std::string operator()(const api::SensitivityOptions&) const {
-    return "{}";
-  }
-  std::string operator()(const api::StreamKmOptions&) const { return "{}"; }
-  std::string operator()(const api::WelterweightOptions& options) const {
-    return "{j=" + std::to_string(options.j) + "}";
-  }
-  std::string operator()(const api::FastOptions& options) const {
-    return "{jl=" + std::to_string(options.use_jl ? 1 : 0) +
-           ",jl_eps=" + Num(options.jl_eps) +
-           ",spread=" + std::to_string(options.use_spread_reduction ? 1 : 0) +
-           ",cc=" + std::to_string(options.center_correction ? 1 : 0) +
-           ",cc_eps=" + Num(options.correction_eps) + ",seeder=" +
-           (options.seeder == api::FastSeeder::kTreeGreedy ? "tree_greedy"
-                                                           : "fast_kmpp") +
-           ",depth=" + std::to_string(options.seeding_max_depth) +
-           ",full=" + std::to_string(options.seeding_full_depth_tree ? 1 : 0) +
-           ",rej=" +
-           std::to_string(options.seeding_rejection_sampling ? 1 : 0) +
-           ",maxrej=" + std::to_string(options.seeding_max_rejections) + "}";
-  }
-  std::string operator()(const api::GroupOptions& options) const {
-    return "{eps=" + Num(options.eps) + "}";
-  }
-  std::string operator()(const api::BicoOptions& options) const {
-    return "{features=" + std::to_string(options.max_features) +
-           ",threshold=" + Num(options.initial_threshold) +
-           ",depth=" + std::to_string(options.max_depth) + "}";
-  }
-};
-
-std::string SerializeOptions(const std::string& canonical,
-                             const api::CoresetSpec& spec) {
-  // Methods without knobs: monostate and the empty tag struct are the
-  // same build.
-  if (canonical == "uniform" || canonical == "lightweight" ||
-      canonical == "sensitivity" || canonical == "stream_km") {
-    return "none";
-  }
-  if (canonical == "welterweight") {
-    auto options = Resolve<api::WelterweightOptions>(spec.options);
-    // j = 0 is the paper's default ceil(log2 k) — the same build as
-    // passing that value explicitly.
-    if (options.j == 0) options.j = DefaultWelterweightJ(spec.k);
-    return "welterweight" + AlternativeSerializer{}(options);
-  }
-  if (canonical == "fast_coreset") {
-    return "fast" +
-           AlternativeSerializer{}(Resolve<api::FastOptions>(spec.options));
-  }
-  if (canonical == "group_sampling") {
-    return "group" +
-           AlternativeSerializer{}(Resolve<api::GroupOptions>(spec.options));
-  }
-  if (canonical == "bico") {
-    auto options = Resolve<api::BicoOptions>(spec.options);
-    // max_features = 0 resolves to the effective coreset size (what the
-    // adapter does).
-    if (options.max_features == 0) options.max_features = spec.EffectiveM();
-    return "bico" + AlternativeSerializer{}(options);
-  }
-  // Externally registered method: its ValidateSpec governs which tags it
-  // accepts, so serialize the tag name AND the held values — two specs
-  // differing in any option value must never share a cache key.
-  return "tag:" + api::MethodOptionsName(spec.options) +
-         std::visit(AlternativeSerializer{}, spec.options);
+/// "none" for methods without knobs, else "{name=value,...}" over the
+/// options struct's Fields() list.
+std::string SerializeOptions(const api::MethodOptions& options) {
+  return std::visit(
+      [](const auto& typed) -> std::string {
+        using OptionsT = std::decay_t<decltype(typed)>;
+        if constexpr (std::is_same_v<OptionsT, std::monostate>) {
+          return "none";
+        } else {
+          std::string out = "{";
+          OptionsT::Fields(typed, [&out](const char* name, auto value) {
+            if (out.size() > 1) out += ",";
+            out += name;
+            out += '=';
+            out += KnobValue(value);
+          });
+          return out + "}";
+        }
+      },
+      options);
 }
 
 }  // namespace
 
 api::FcStatusOr<std::string> CanonicalSpecKey(const api::CoresetSpec& spec) {
   api::FcStatusOr<const api::CoresetAlgorithm*> algo =
-      api::Registry::Instance().Get(spec.method);
+      api::FindMethod(spec.method);
   if (!algo.ok()) return algo.status();
-  const std::string canonical(algo.value()->Name());
 
-  std::string key = "method=" + canonical;
+  std::string key = "method=";
+  key += algo.value()->Name();
   key += ";k=" + std::to_string(spec.k);
   key += ";m=" + std::to_string(spec.EffectiveM());
   key += ";z=" + std::to_string(spec.z);
@@ -124,7 +65,9 @@ api::FcStatusOr<std::string> CanonicalSpecKey(const api::CoresetSpec& spec) {
   key += spec.weights.empty()
              ? "unit"
              : FingerprintHex(FingerprintDoubles(spec.weights));
-  key += ";opt=" + SerializeOptions(canonical, spec);
+  const api::MethodOptions options =
+      api::ResolvedOptions(spec, spec.EffectiveM());
+  key += ";opt=" + SerializeOptions(options);
   return key;
 }
 

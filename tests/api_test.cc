@@ -1,4 +1,4 @@
-// Tests for the public facade (src/api/fastcoreset.h): registry coverage,
+// Tests for the public facade (src/api/fastcoreset.h): method-table coverage,
 // spec validation and the recoverable-error model, seed determinism
 // (including thread invariance), and per-method option round-trips.
 
@@ -54,7 +54,7 @@ api::CoresetSpec SmallSpec(const std::string& method, uint64_t seed = 7) {
 }
 
 TEST(RegistryTest, ListsSpectrumAndStreamingBuilders) {
-  const std::vector<std::string> names = api::Registry::Instance().Names();
+  const std::vector<std::string> names = api::MethodNames();
   for (const char* required :
        {"uniform", "lightweight", "welterweight", "sensitivity",
         "fast_coreset", "group_sampling", "bico", "stream_km"}) {
@@ -65,19 +65,18 @@ TEST(RegistryTest, ListsSpectrumAndStreamingBuilders) {
 }
 
 TEST(RegistryTest, AliasesResolveToCanonicalAlgorithms) {
-  auto& registry = api::Registry::Instance();
-  EXPECT_EQ(registry.Get("fast").value()->Name(), "fast_coreset");
-  EXPECT_EQ(registry.Get("group").value()->Name(), "group_sampling");
-  EXPECT_EQ(registry.Get("streamkm").value()->Name(), "stream_km");
-  EXPECT_TRUE(registry.Contains("fast"));
+  EXPECT_EQ(api::FindMethod("fast").value()->Name(), "fast_coreset");
+  EXPECT_EQ(api::FindMethod("group").value()->Name(), "group_sampling");
+  EXPECT_EQ(api::FindMethod("streamkm").value()->Name(), "stream_km");
+  EXPECT_TRUE(api::FindMethod("fast").ok());
   // Aliases are not listed as names.
-  const std::vector<std::string> names = registry.Names();
+  const std::vector<std::string> names = api::MethodNames();
   EXPECT_TRUE(std::find(names.begin(), names.end(), "fast") == names.end());
 }
 
 TEST(RegistryTest, EveryRegisteredMethodBuildsAValidCoreset) {
   const Matrix points = TestMixture();
-  for (const std::string& name : api::Registry::Instance().Names()) {
+  for (const std::string& name : api::MethodNames()) {
     const api::FcStatusOr<api::BuildResult> result =
         api::Build(SmallSpec(name), points);
     ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
@@ -103,7 +102,7 @@ TEST(RegistryTest, EveryRegisteredMethodBuildsAValidCoreset) {
 
 TEST(RegistryTest, EveryRegisteredMethodIsSeedDeterministic) {
   const Matrix points = TestMixture();
-  for (const std::string& name : api::Registry::Instance().Names()) {
+  for (const std::string& name : api::MethodNames()) {
     const Coreset first = api::Build(SmallSpec(name), points)->coreset;
     const Coreset second = api::Build(SmallSpec(name), points)->coreset;
     ExpectBitIdentical(first, second, name + " same-seed rebuild");
@@ -112,7 +111,7 @@ TEST(RegistryTest, EveryRegisteredMethodIsSeedDeterministic) {
 
 TEST(RegistryTest, EveryRegisteredMethodIsThreadInvariant) {
   const Matrix points = TestMixture();
-  for (const std::string& name : api::Registry::Instance().Names()) {
+  for (const std::string& name : api::MethodNames()) {
     Coreset serial, threaded;
     {
       ThreadCountGuard guard(1);
@@ -203,6 +202,22 @@ TEST(ErrorModelTest, InvalidSpecsAreRejectedNotAborted) {
   bico_zero.weights[7] = 0.0;  // The CF tree rejects massless points.
   EXPECT_EQ(api::Build(bico_zero, points).status().code(),
             api::FcErrorCode::kInvalidArgument);
+
+  // Tiny (valid) eps values whose log terms overflow the integer casts
+  // in the JL target dimension and the group-sampling ring indices.
+  api::CoresetSpec tiny_jl_eps = SmallSpec("fast_coreset");
+  api::FastOptions fast_options;
+  fast_options.jl_eps = 1e-200;
+  tiny_jl_eps.options = fast_options;
+  api::CoresetSpec tiny_group_eps = SmallSpec("group_sampling");
+  group_options.eps = 1e-200;
+  tiny_group_eps.options = group_options;
+  for (const api::CoresetSpec& tiny : {tiny_jl_eps, tiny_group_eps}) {
+    SCOPED_TRACE(tiny.method);
+    const auto result = api::Build(tiny, points);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->coreset.size(), 0u);
+  }
 
   // ValidateSpec alone runs the same checks without building.
   EXPECT_FALSE(api::ValidateSpec(mismatched).ok());

@@ -230,6 +230,8 @@ TEST(JlTest, TargetDimClampedToOriginal) {
   EXPECT_EQ(JlTargetDim(100, 0.5, 5), 5u);
   EXPECT_GT(JlTargetDim(100, 0.5, 1000), 5u);
   EXPECT_LE(JlTargetDim(100, 0.5, 1000), 1000u);
+  // log k / eps^2 overflows size_t (and double): still clamped.
+  EXPECT_EQ(JlTargetDim(400, 1e-200, 32), 32u);
 }
 
 TEST(JlTest, IdentityWhenTargetNotSmaller) {

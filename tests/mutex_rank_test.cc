@@ -36,15 +36,13 @@ TEST(MutexRankTest, FullTierChainInOrderIsSilent) {
   Mutex scheduler{lock_rank::kServiceScheduler};
   Mutex store{lock_rank::kDatasetStore};
   Mutex cache{lock_rank::kCoresetCache};
-  Mutex registry{lock_rank::kRegistry};
   Mutex graph{lock_rank::kTaskGraph};
   Mutex pool{lock_rank::kPoolDispatch};
   MutexLock l1(scheduler);
   MutexLock l2(store);
   MutexLock l3(cache);
-  MutexLock l4(registry);
-  MutexLock l5(graph);
-  MutexLock l6(pool);
+  MutexLock l4(graph);
+  MutexLock l5(pool);
   SUCCEED();
 }
 

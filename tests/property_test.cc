@@ -40,7 +40,7 @@ Matrix BenignBlobs(size_t n, size_t d, size_t blobs, uint64_t seed) {
 using SamplerParam = std::tuple<const char*, int, size_t>;
 
 /// Spec for one sweep point; all sampler properties build through the
-/// facade, so the sweep also covers the registry dispatch path.
+/// facade, so the sweep also covers the method-table dispatch path.
 api::CoresetSpec SweepSpec(const SamplerParam& param, size_t k) {
   api::CoresetSpec spec;
   spec.method = std::get<0>(param);

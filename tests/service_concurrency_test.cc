@@ -2,7 +2,7 @@
 // one shared service with interleaved register / build / evict / stats
 // while the builds themselves parallelize on the persistent pool. This is
 // the workload the TSan CI job (tsan preset, FC_THREADS=4) exists for:
-// any data race in CoresetCache, DatasetStore, Registry, the thread pool,
+// any data race in CoresetCache, DatasetStore, the thread pool,
 // or the protocol layer shows up here. The assertions pin the lock-free
 // observable contracts — cache counters add up, concurrent identical
 // requests stay bit-identical, and the NDJSON register path never aborts

@@ -183,21 +183,101 @@ TEST(SpecKeyTest, CanonicalizesAliasesDefaultsAndOptions) {
   EXPECT_EQ(service::CanonicalSpecKey(j_default).value(),
             service::CanonicalSpecKey(j_explicit).value());
 
-  // Anything that changes the build changes the key.
+  // Anything that changes the build changes the key: every common field,
+  // every single option knob of every method with knobs (each method's
+  // defaulted spec is in the set too, so a knob that left its method's
+  // key unchanged would collide).
   std::set<std::string> keys;
   keys.insert(base);
-  for (auto mutate : {+[](api::CoresetSpec* s) { s->k = 5; },
-                      +[](api::CoresetSpec* s) { s->m = 61; },
-                      +[](api::CoresetSpec* s) { s->z = 1; },
-                      +[](api::CoresetSpec* s) { s->seed = 8; },
-                      +[](api::CoresetSpec* s) {
-                        api::FastOptions options;
-                        options.use_jl = false;
-                        s->options = options;
-                      },
-                      +[](api::CoresetSpec* s) {
-                        s->weights.assign(400, 2.0);
-                      }}) {
+  for (auto mutate : {
+           +[](api::CoresetSpec* s) { s->k = 5; },
+           +[](api::CoresetSpec* s) { s->m = 61; },
+           +[](api::CoresetSpec* s) { s->z = 1; },
+           +[](api::CoresetSpec* s) { s->seed = 8; },
+           +[](api::CoresetSpec* s) { s->weights.assign(400, 2.0); },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.use_jl = false;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.jl_eps = 0.5;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.use_spread_reduction = true;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.center_correction = true;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.correction_eps = 0.2;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.seeder = api::FastSeeder::kTreeGreedy;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.seeding_max_depth = 30;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.seeding_full_depth_tree = true;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.seeding_rejection_sampling = false;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             api::FastOptions options;
+             options.seeding_max_rejections = 64;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) { s->method = "welterweight"; },
+           +[](api::CoresetSpec* s) {
+             s->method = "welterweight";
+             api::WelterweightOptions options;
+             options.j = 3;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) { s->method = "group_sampling"; },
+           +[](api::CoresetSpec* s) {
+             s->method = "group_sampling";
+             api::GroupOptions options;
+             options.eps = 0.25;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) { s->method = "bico"; },
+           +[](api::CoresetSpec* s) {
+             s->method = "bico";
+             api::BicoOptions options;
+             options.max_features = 7;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             s->method = "bico";
+             api::BicoOptions options;
+             options.initial_threshold = 0.5;
+             s->options = options;
+           },
+           +[](api::CoresetSpec* s) {
+             s->method = "bico";
+             api::BicoOptions options;
+             options.max_depth = 8;
+             s->options = options;
+           }}) {
     api::CoresetSpec spec = SmallSpec();
     mutate(&spec);
     EXPECT_TRUE(keys.insert(service::CanonicalSpecKey(spec).value()).second)
@@ -206,55 +286,6 @@ TEST(SpecKeyTest, CanonicalizesAliasesDefaultsAndOptions) {
 
   EXPECT_EQ(service::CanonicalSpecKey(SmallSpec("no_such")).status().code(),
             api::FcErrorCode::kNotFound);
-}
-
-/// Out-of-tree algorithm that reuses a built-in options tag — the case
-/// the key serializer cannot canonicalize and must still keep
-/// value-faithful.
-class EchoUniformAlgorithm : public api::CoresetAlgorithm {
- public:
-  std::string_view Name() const override { return "test_echo_uniform"; }
-  api::FcStatus ValidateSpec(const api::CoresetSpec&) const override {
-    return api::FcStatus::Ok();  // Accepts any options tag.
-  }
-  Coreset Build(const api::CoresetSpec&, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                api::BuildDiagnostics*) const override {
-    return UniformLike(points, weights, m, rng);
-  }
-
- private:
-  static Coreset UniformLike(const Matrix& points,
-                             const std::vector<double>& weights, size_t m,
-                             Rng& rng) {
-    api::CoresetSpec spec;
-    spec.method = "uniform";
-    spec.m = m;
-    return api::Build(spec, points, weights, rng)->coreset;
-  }
-};
-
-FC_REGISTER_CORESET_ALGORITHM("test_echo_uniform", EchoUniformAlgorithm);
-
-TEST(SpecKeyTest, ExternalMethodKeysAreValueFaithful) {
-  api::CoresetSpec low = SmallSpec("test_echo_uniform");
-  api::GroupOptions low_options;
-  low_options.eps = 0.1;
-  low.options = low_options;
-
-  api::CoresetSpec high = low;
-  api::GroupOptions high_options;
-  high_options.eps = 0.9;
-  high.options = high_options;
-
-  // Different option values through an unknown method must never share a
-  // cache key (a shared key would serve the wrong coreset as a "hit").
-  EXPECT_NE(service::CanonicalSpecKey(low).value(),
-            service::CanonicalSpecKey(high).value());
-  // Different tags differ too, and monostate has its own key.
-  api::CoresetSpec tagless = SmallSpec("test_echo_uniform");
-  EXPECT_NE(service::CanonicalSpecKey(tagless).value(),
-            service::CanonicalSpecKey(low).value());
 }
 
 // ------------------------------------------------------------- sharding
@@ -626,6 +657,55 @@ TEST(ProtocolTest, SpecFromJsonMarshalsFieldsAndOptions) {
   EXPECT_EQ(spec->z, 1);
   EXPECT_EQ(spec->seed, 11u);
   EXPECT_EQ(std::get<api::WelterweightOptions>(spec->options).j, 3u);
+
+  // Every fast_coreset key lands in its own field (all off their
+  // defaults, so a key that parsed into nothing would show).
+  const auto fast_request = service::ParseJson(
+      R"({"method":"fast","options":{"use_jl":false,"jl_eps":0.5,)"
+      R"("use_spread_reduction":true,"center_correction":true,)"
+      R"("correction_eps":0.2,"seeder":"tree_greedy",)"
+      R"("seeding_max_depth":30,"seeding_full_depth_tree":true,)"
+      R"("seeding_rejection_sampling":false,"seeding_max_rejections":64}})");
+  ASSERT_TRUE(fast_request.ok());
+  const auto fast_spec = service::SpecFromJson(fast_request.value());
+  ASSERT_TRUE(fast_spec.ok()) << fast_spec.status().ToString();
+  const auto& fast = std::get<api::FastOptions>(fast_spec->options);
+  EXPECT_FALSE(fast.use_jl);
+  EXPECT_EQ(fast.jl_eps, 0.5);
+  EXPECT_TRUE(fast.use_spread_reduction);
+  EXPECT_TRUE(fast.center_correction);
+  EXPECT_EQ(fast.correction_eps, 0.2);
+  EXPECT_EQ(fast.seeder, api::FastSeeder::kTreeGreedy);
+  EXPECT_EQ(fast.seeding_max_depth, 30);
+  EXPECT_TRUE(fast.seeding_full_depth_tree);
+  EXPECT_FALSE(fast.seeding_rejection_sampling);
+  EXPECT_EQ(fast.seeding_max_rejections, 64);
+
+  const auto kmpp_request = service::ParseJson(
+      R"({"method":"fast_coreset","options":{"seeder":"fast_kmeans++"}})");
+  const auto kmpp_spec = service::SpecFromJson(kmpp_request.value());
+  ASSERT_TRUE(kmpp_spec.ok()) << kmpp_spec.status().ToString();
+  EXPECT_EQ(std::get<api::FastOptions>(kmpp_spec->options).seeder,
+            api::FastSeeder::kFastKMeansPlusPlus);
+  const auto bad_seeder = service::ParseJson(
+      R"({"method":"fast_coreset","options":{"seeder":"kmeans||"}})");
+  EXPECT_FALSE(service::SpecFromJson(bad_seeder.value()).ok());
+
+  const auto group_request = service::ParseJson(
+      R"({"method":"group","options":{"eps":0.25}})");
+  const auto group_spec = service::SpecFromJson(group_request.value());
+  ASSERT_TRUE(group_spec.ok()) << group_spec.status().ToString();
+  EXPECT_EQ(std::get<api::GroupOptions>(group_spec->options).eps, 0.25);
+
+  const auto bico_request = service::ParseJson(
+      R"({"method":"bico","options":{"max_features":7,)"
+      R"("initial_threshold":0.5,"max_depth":8}})");
+  const auto bico_spec = service::SpecFromJson(bico_request.value());
+  ASSERT_TRUE(bico_spec.ok()) << bico_spec.status().ToString();
+  const auto& bico = std::get<api::BicoOptions>(bico_spec->options);
+  EXPECT_EQ(bico.max_features, 7u);
+  EXPECT_EQ(bico.initial_threshold, 0.5);
+  EXPECT_EQ(bico.max_depth, 8);
 
   // Unknown option keys and options on option-less methods are errors.
   const auto bad_key = service::ParseJson(

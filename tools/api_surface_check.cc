@@ -24,9 +24,9 @@ int main() {
   bogus.method = "bogus";
   if (api::ValidateSpec(bogus).ok()) return 1;
 
-  // Registry introspection.
-  if (!api::Registry::Instance().Contains("stream_km")) return 1;
-  if (api::Registry::Instance().Names().size() < 8) return 1;
+  // Method-table introspection.
+  if (!api::FindMethod("stream_km").ok()) return 1;
+  if (api::MethodNames().size() < 8) return 1;
 
   // Seed-driven build on a tiny inline dataset + diagnostics.
   Matrix points(40, 2);

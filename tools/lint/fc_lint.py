@@ -886,7 +886,7 @@ def rule_umbrella_include(path: str,
                 path, line, "umbrella-include",
                 f'#include "{inc}" is a per-method compression header, '
                 f"internal since PR 4; include \"src/api/fastcoreset.h\" "
-                f"and go through api::Build / the registry instead"))
+                f"and go through api::Build / the method table instead"))
     return findings
 
 

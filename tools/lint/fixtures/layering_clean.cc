@@ -2,7 +2,7 @@
 // geometry, clustering, core, and streaming as deps; same-module and
 // system includes are always allowed.
 // Linted as src/api/layering_clean.cc.
-#include "src/api/registry.h"
+#include "src/api/algorithm.h"
 
 #include <string>
 #include <vector>
