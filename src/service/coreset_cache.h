@@ -1,11 +1,12 @@
 // CoresetCache: LRU cache over completed coreset builds. Coreset requests
 // are deterministic functions of (dataset content, canonical spec, shard
 // count) — the perfect shape for caching: a repeated request under heavy
-// traffic costs a map lookup and a copy instead of an O(nd) build. Keys
-// are the service's composite strings ("ds=<fingerprint>;<spec key>;
-// shards=N"); values are immutable shared snapshots of the built coreset
-// (no diagnostics), so a hit can be handed out while another thread
-// inserts or evicts.
+// traffic costs a map lookup and a shared-pointer copy instead of an O(nd)
+// build, and nothing on a hit grows with the coreset's size. Keys are the
+// service's composite strings ("ds=<fingerprint>;<spec key>;shards=N");
+// values are immutable shared records of the built coreset (no
+// diagnostics), so a hit can be handed out while another thread inserts
+// or evicts, and a response outlives the eviction of its entry.
 
 #ifndef FASTCORESET_SERVICE_CORESET_CACHE_H_
 #define FASTCORESET_SERVICE_CORESET_CACHE_H_
@@ -23,14 +24,24 @@
 namespace fastcoreset {
 namespace service {
 
-/// Immutable snapshot of one completed build's coreset, shared between
-/// the cache and any in-flight responses. It holds only what a hit needs
-/// and what eviction matches on; the build's diagnostics belong to the
-/// response of the request that built it.
+/// The one immutable record of a served build, shared between the cache
+/// and every response that serves it (hit, miss or bypass). It holds only
+/// what a response reports and what eviction matches on; the build's
+/// diagnostics belong to the response of the request that built it. The
+/// O(m·d) summaries are computed once, by the constructor, on the build
+/// path and outside the cache mutex, so a hit never recomputes them.
 struct CachedBuild {
-  std::string key;
-  uint64_t dataset_fingerprint = 0;  ///< Matched by EvictDataset.
-  Coreset coreset;
+  /// Takes ownership of the coreset (no copy) and derives the summaries.
+  CachedBuild(std::string key, uint64_t dataset_fingerprint,
+              Coreset coreset);
+
+  const std::string key;
+  const uint64_t dataset_fingerprint;  ///< Matched by EvictDataset.
+  const Coreset coreset;
+  const uint64_t fingerprint;  ///< FingerprintCoreset(coreset).
+  const double total_weight;   ///< coreset.TotalWeight().
+  /// Bytes the coreset holds: points, weights and indices.
+  const size_t bytes;
 };
 
 /// Thread-safe LRU cache with hit/miss/eviction counters. Capacity is an
@@ -61,6 +72,7 @@ class CoresetCache {
     size_t evictions = 0;
     size_t entries = 0;
     size_t capacity = 0;
+    size_t bytes = 0;  ///< Σ CachedBuild::bytes over the live entries.
   };
   Stats stats() const;
 
@@ -81,6 +93,7 @@ class CoresetCache {
   size_t hits_ FC_GUARDED_BY(mutex_) = 0;
   size_t misses_ FC_GUARDED_BY(mutex_) = 0;
   size_t evictions_ FC_GUARDED_BY(mutex_) = 0;
+  size_t bytes_ FC_GUARDED_BY(mutex_) = 0;  ///< Running Stats::bytes.
 };
 
 }  // namespace service

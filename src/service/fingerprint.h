@@ -2,9 +2,11 @@
 // name but *cached* by content: the cache key embeds an FNV-1a hash over
 // the matrix bytes, so re-registering a name with different rows can never
 // serve a stale coreset, and two names bound to identical content share
-// cache entries. The same hash doubles as a cheap bit-identity witness for
+// cache entries. The same hash doubles as a bit-identity witness for
 // coresets in the fc_serve protocol (two responses with equal fingerprints
-// carry equal points/weights/indices).
+// carry equal points/weights/indices). A coreset's fingerprint is O(m·d),
+// so it is computed once per build, when its CachedBuild record is made,
+// and every response that serves the build (hit or miss) reads it there.
 
 #ifndef FASTCORESET_SERVICE_FINGERPRINT_H_
 #define FASTCORESET_SERVICE_FINGERPRINT_H_

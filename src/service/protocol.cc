@@ -378,10 +378,12 @@ std::string HandleBuild(CoresetService& service, const JsonValue& request,
 
   FcStatusOr<BuildResponse> response = service.Build(build);
   if (!response.ok()) return fail(response.status());
-  const Coreset& coreset = response->coreset;
+  // Everything about the coreset is read from the shared build record:
+  // a hit costs no pass over its rows.
+  const CachedBuild& built = *response->build;
   const ServiceDiagnostics& diag = response->diagnostics;
 
-  if (!output.empty() && !SaveCoresetCsv(output, coreset)) {
+  if (!output.empty() && !SaveCoresetCsv(output, built.coreset)) {
     return fail(
         FcStatus::Internal("could not write coreset to '" + output + "'"));
   }
@@ -394,11 +396,10 @@ std::string HandleBuild(CoresetService& service, const JsonValue& request,
   out.Integer("shards", diag.shard_count);
   // Effective scheduler budget: 0 on a cache hit (no graph ran).
   out.Integer("parallelism", diag.scheduler.parallelism);
-  out.Integer("rows", coreset.size());
-  out.Integer("dims", coreset.points.cols());
-  out.Number("total_weight", coreset.TotalWeight());
-  out.String("coreset_fingerprint",
-             FingerprintHex(FingerprintCoreset(coreset)));
+  out.Integer("rows", built.coreset.size());
+  out.Integer("dims", built.coreset.points.cols());
+  out.Number("total_weight", built.total_weight);
+  out.String("coreset_fingerprint", FingerprintHex(built.fingerprint));
   out.Integer("points_processed", diag.points_processed);
   out.Integer("bytes_processed", diag.bytes_processed);
   // build_seconds is summed shard + merge work; critical_path_seconds is
@@ -457,6 +458,7 @@ std::string HandleStats(CoresetService& service, const JsonValue& request,
   cache.Integer("misses", stats.misses);
   cache.Integer("evictions", stats.evictions);
   cache.Integer("entries", stats.entries);
+  cache.Integer("bytes", stats.bytes);
   cache.Integer("capacity", stats.capacity);
 
   std::string datasets = "[";

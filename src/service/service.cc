@@ -57,12 +57,12 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
   if (caching) {
     if (std::shared_ptr<const CachedBuild> cached =
             cache_.Lookup(diag.cache_key)) {
-      // Hit: hand back the stored coreset. shards stays empty and
-      // points_processed/build_seconds stay 0 — this request did no
-      // build work, and the diagnostics prove it.
+      // Hit: share the stored entry, copying nothing. shards stays
+      // empty and points_processed/build_seconds stay 0 — this request
+      // did no build work, and the diagnostics prove it.
       diag.cache_status = "hit";
       diag.total_seconds = timer.Seconds();
-      return BuildResponse{cached->coreset, std::move(diag)};
+      return BuildResponse(std::move(cached), std::move(diag));
     }
     diag.cache_status = "miss";
   } else {
@@ -93,16 +93,15 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
                  diag.scheduler.queue_high_water);
   }
 
-  if (caching) {
-    auto entry = std::make_shared<CachedBuild>();
-    entry->key = diag.cache_key;
-    entry->dataset_fingerprint = diag.dataset_fingerprint;
-    entry->coreset = built->coreset;  // Copy: the response owns the other.
-    cache_.Insert(std::move(entry));
-  }
+  // The coreset moves into the entry, whose constructor derives the
+  // fingerprint and total weight once, outside the cache mutex. A bypass
+  // builds the same record and does not insert it.
+  auto entry = std::make_shared<const CachedBuild>(
+      diag.cache_key, diag.dataset_fingerprint, std::move(built->coreset));
+  if (caching) cache_.Insert(entry);
 
   diag.total_seconds = timer.Seconds();
-  return BuildResponse{std::move(built->coreset), std::move(diag)};
+  return BuildResponse(std::move(entry), std::move(diag));
 }
 
 CoresetService::SchedulerTotals CoresetService::SchedulerStats() const {

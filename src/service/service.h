@@ -11,7 +11,9 @@
 #define FASTCORESET_SERVICE_SERVICE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "src/api/fastcoreset.h"
 #include "src/common/mutex.h"
@@ -68,9 +70,22 @@ struct ServiceDiagnostics : ShardedBuildDiagnostics {
   double total_seconds = 0.0;  ///< Request wall clock (lookup included).
 };
 
-/// A request's product.
+/// A request's product: the shared, immutable record of the build plus
+/// what this request did. A hit hands out the cache's own entry, a miss
+/// the entry it just inserted, a bypass an entry the cache never sees; in
+/// every case nothing is copied, and the response keeps its entry alive
+/// after the cache evicts or replaces it.
 struct BuildResponse {
-  Coreset coreset;
+  BuildResponse(std::shared_ptr<const CachedBuild> build_in,
+                ServiceDiagnostics diagnostics_in)
+      : build(std::move(build_in)),
+        coreset(build->coreset),
+        diagnostics(std::move(diagnostics_in)) {}
+
+  std::shared_ptr<const CachedBuild> build;
+  /// build->coreset. The entry lives on the heap, so copies and moves of
+  /// the response keep this reference valid.
+  const Coreset& coreset;
   ServiceDiagnostics diagnostics;
 };
 

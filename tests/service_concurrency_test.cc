@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +119,50 @@ TEST(ServiceConcurrencyTest, ConcurrentBuildsAreConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, cached_lookups.load());
   EXPECT_GE(stats.misses, kSharedDatasets);  // Someone built each first.
   EXPECT_LE(stats.entries, stats.capacity);
+}
+
+TEST(ServiceConcurrencyTest, ConcurrentMissesOnOneKeyShareOneEntry) {
+  // Every thread asks for the same fresh key at once, so usually several
+  // miss, build and insert it: the cache's replace branch. One entry
+  // survives, every response carries the same bits, and a response whose
+  // entry was replaced still reads valid bits through its own pointer.
+  CoresetService service(ServiceOptions{/*cache_capacity=*/8});
+  RegisterShared(service);
+
+  std::atomic<size_t> waiting{kThreads};
+  std::vector<std::optional<api::FcStatusOr<service::BuildResponse>>>
+      responses(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      --waiting;
+      while (waiting.load() > 0) std::this_thread::yield();
+      responses[t].emplace(service.Build(SharedRequest(0)));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const CoresetCache::Stats stats = service.CacheStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits + stats.misses, kThreads);
+  EXPECT_GE(stats.misses, 1u);
+
+  // Evict the survivor too: from here on every response is the only owner
+  // of its record.
+  service.ClearCache();
+  EXPECT_EQ(service.CacheStats().bytes, 0u);
+  ASSERT_TRUE(responses[0]->ok()) << responses[0]->status().ToString();
+  const uint64_t expected = (*responses[0])->build->fingerprint;
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(responses[t]->ok()) << responses[t]->status().ToString();
+    const service::BuildResponse& response = responses[t]->value();
+    EXPECT_EQ(response.build->fingerprint, expected) << "thread " << t;
+    // Recomputed from the bits: the record is intact, not just its
+    // cached summary.
+    EXPECT_EQ(service::FingerprintCoreset(response.coreset), expected)
+        << "thread " << t;
+  }
 }
 
 TEST(ServiceConcurrencyTest, InterleavedRegisterBuildEvictStats) {

@@ -5,6 +5,9 @@
 // the fc_serve JSON protocol surface.
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -430,6 +433,118 @@ TEST(ServiceTest, CacheHitReturnsIdenticalCoresetWithoutRebuilding) {
   EXPECT_EQ(rebuilt->diagnostics.cache_status, "bypass");
   ExpectBitIdentical(first->coreset, rebuilt->coreset, "bypass rebuild");
   EXPECT_EQ(svc.CacheStats().hits, 1u) << "bypass must not touch the cache";
+
+  // Hits share the cache's entry and copy nothing: the miss returned the
+  // entry it inserted, and every later hit hands out that same record.
+  const auto third = svc.Build(SmallRequest("mixture", 7, 2));
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(first->build, second->build);
+  EXPECT_EQ(second->build, third->build);
+  EXPECT_EQ(&second->coreset, &third->coreset);
+  EXPECT_EQ(&first->coreset, &first->build->coreset);
+  // The bypass made a record of its own with the same summaries.
+  EXPECT_NE(rebuilt->build, first->build);
+  EXPECT_EQ(rebuilt->build->fingerprint, first->build->fingerprint);
+  EXPECT_EQ(rebuilt->build->total_weight, first->build->total_weight);
+  // The summaries are the ones the coreset's own bits give.
+  EXPECT_EQ(first->build->fingerprint,
+            service::FingerprintCoreset(first->coreset));
+  EXPECT_EQ(first->build->total_weight, first->coreset.TotalWeight());
+  EXPECT_EQ(first->build->key, first->diagnostics.cache_key);
+
+  // Copies and moves of a response keep `coreset` bound to the shared
+  // entry.
+  service::BuildResponse copy = third.value();
+  EXPECT_EQ(&copy.coreset, &third->coreset);
+  const service::BuildResponse moved = std::move(copy);
+  EXPECT_EQ(&moved.coreset, &moved.build->coreset);
+  EXPECT_EQ(moved.build, third->build);
+}
+
+TEST(ServiceTest, HeldResponseOutlivesEviction) {
+  CoresetService svc(ServiceOptions{/*cache_capacity=*/1});
+  AddMixture(svc);
+
+  // ClearCache drops the entry; the held response still reads the same
+  // bits.
+  const auto held = svc.Build(SmallRequest("mixture", 7));
+  ASSERT_TRUE(held.ok());
+  const Coreset expected = held->coreset;  // A copy of the bits.
+  svc.ClearCache();
+  EXPECT_EQ(svc.CacheStats().entries, 0u);
+  ExpectBitIdentical(expected, held->coreset, "held across ClearCache");
+
+  // EvictDataset drops the rebuilt entry under a response that holds it.
+  const auto rebuilt = svc.Build(SmallRequest("mixture", 7));
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt->diagnostics.cache_status, "miss");
+  EXPECT_NE(rebuilt->build, held->build);
+  ASSERT_TRUE(svc.EvictDataset("mixture").ok());
+  EXPECT_EQ(svc.CacheStats().entries, 0u);
+  ExpectBitIdentical(expected, rebuilt->coreset, "held across EvictDataset");
+
+  // LRU eviction at capacity 1: a second key pushes the held entry out.
+  const auto lru = svc.Build(SmallRequest("mixture", 7));
+  ASSERT_TRUE(lru.ok());
+  ASSERT_TRUE(svc.Build(SmallRequest("mixture", 8)).ok());
+  EXPECT_EQ(svc.CacheStats().evictions, 3u);
+  EXPECT_EQ(svc.Build(SmallRequest("mixture", 7))->diagnostics.cache_status,
+            "miss");
+  ExpectBitIdentical(expected, lru->coreset, "held across LRU eviction");
+  ExpectBitIdentical(expected, held->coreset, "held across every eviction");
+}
+
+std::shared_ptr<const service::CachedBuild> SizedEntry(
+    const std::string& key, uint64_t dataset_fingerprint, size_t rows) {
+  Coreset coreset;
+  coreset.points = Matrix(rows, 3);
+  coreset.weights.assign(rows, 1.0);
+  coreset.indices.assign(rows, 0);
+  return std::make_shared<const service::CachedBuild>(
+      key, dataset_fingerprint, std::move(coreset));
+}
+
+TEST(CoresetCacheTest, BytesGaugeIsTheSumOverLiveEntries) {
+  // Points (rows x 3 doubles) + weights (rows doubles) + indices (rows
+  // size_t).
+  const auto a = SizedEntry("a", 1, 10);
+  EXPECT_EQ(a->bytes, 10 * 4 * sizeof(double) + 10 * sizeof(size_t));
+  const auto b = SizedEntry("b", 1, 20);
+  const auto c = SizedEntry("c", 2, 30);
+
+  service::CoresetCache cache(/*capacity=*/3);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  cache.Insert(a);
+  cache.Insert(b);
+  cache.Insert(c);
+  EXPECT_EQ(cache.stats().bytes, a->bytes + b->bytes + c->bytes);
+
+  // Replace: the old entry's bytes leave, the new one's arrive. Recency
+  // is now b, c, a.
+  const auto b_small = SizedEntry("b", 1, 5);
+  cache.Insert(b_small);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().bytes, a->bytes + b_small->bytes + c->bytes);
+
+  // LRU eviction of a.
+  const auto d = SizedEntry("d", 2, 40);
+  cache.Insert(d);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.stats().bytes, b_small->bytes + c->bytes + d->bytes);
+
+  // EvictDataset drops c and d.
+  EXPECT_EQ(cache.EvictDataset(2), 2u);
+  EXPECT_EQ(cache.stats().bytes, b_small->bytes);
+
+  cache.Clear();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+
+  // Capacity 0 inserts nothing, so it holds nothing.
+  service::CoresetCache disabled(/*capacity=*/0);
+  disabled.Insert(a);
+  EXPECT_EQ(disabled.stats().bytes, 0u);
 }
 
 TEST(ServiceTest, LruEvictionUnderCapacityPressure) {
@@ -800,6 +915,97 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
   ASSERT_TRUE(evicted.Find("ok")->bool_value());
   EXPECT_EQ(evicted.Find("evicted")->number_value(), 1.0);
   EXPECT_EQ(Handle(build_line).Find("cache")->string_value(), "miss");
+
+  // Wire values are pinned across miss, hit and bypass: total_weight and
+  // coreset_fingerprint are byte-equal in all three replies and match an
+  // in-process api::Build of the same spec, and the output CSV written on
+  // the hit is byte-identical to the one written on the miss.
+  const std::string miss_csv = testing::TempDir() + "fc_protocol_miss.csv";
+  const std::string hit_csv = testing::TempDir() + "fc_protocol_hit.csv";
+  const std::string spec_keys =
+      R"("verb":"build","dataset":"p","method":"uniform","k":2,"m":4,)"
+      R"("seed":5,"shards":1)";
+  const std::string miss_text = service::HandleRequestLine(
+      svc, "{" + spec_keys + R"(,"output":")" + miss_csv + "\"}");
+  const std::string hit_text = service::HandleRequestLine(
+      svc, "{" + spec_keys + R"(,"output":")" + hit_csv + "\"}");
+  const std::string bypass_text = service::HandleRequestLine(
+      svc, "{" + spec_keys + R"(,"use_cache":false})");
+  const auto RawValue = [](const std::string& text, const std::string& key) {
+    const std::string tag = "\"" + key + "\":";
+    const size_t start = text.find(tag);
+    if (start == std::string::npos) return std::string();
+    const size_t from = start + tag.size();
+    return text.substr(from, text.find_first_of(",}", from) - from);
+  };
+  EXPECT_EQ(RawValue(miss_text, "cache"), "\"miss\"") << miss_text;
+  EXPECT_EQ(RawValue(hit_text, "cache"), "\"hit\"") << hit_text;
+  EXPECT_EQ(RawValue(bypass_text, "cache"), "\"bypass\"") << bypass_text;
+  for (const std::string key : {"total_weight", "coreset_fingerprint",
+                                "rows", "dims"}) {
+    EXPECT_FALSE(RawValue(miss_text, key).empty()) << key;
+    EXPECT_EQ(RawValue(hit_text, key), RawValue(miss_text, key)) << key;
+    EXPECT_EQ(RawValue(bypass_text, key), RawValue(miss_text, key)) << key;
+  }
+
+  api::CoresetSpec spec;
+  spec.method = "uniform";
+  spec.k = 2;
+  spec.m = 4;
+  spec.seed = 5;
+  const Matrix points(8, 2, {0, 0, 1, 0, 0, 1, 9, 9, 9, 8, 8, 9, 5, 5, 5, 6});
+  const auto reference = api::Build(spec, points);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(RawValue(miss_text, "coreset_fingerprint"),
+            "\"" +
+                service::FingerprintHex(
+                    service::FingerprintCoreset(reference->coreset)) +
+                "\"");
+  EXPECT_EQ(RawValue(miss_text, "total_weight"),
+            service::JsonNumber(reference->coreset.TotalWeight()));
+  EXPECT_EQ(RawValue(miss_text, "rows"),
+            std::to_string(reference->coreset.size()));
+
+  const auto ReadFile = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string miss_bytes = ReadFile(miss_csv);
+  EXPECT_FALSE(miss_bytes.empty());
+  EXPECT_EQ(ReadFile(hit_csv), miss_bytes);
+  std::remove(miss_csv.c_str());
+  std::remove(hit_csv.c_str());
+}
+
+TEST(ProtocolTest, StatsReportCacheBytes) {
+  CoresetService svc;
+  AddMixture(svc);
+  const auto CacheBytes = [&]() {
+    const std::string response =
+        service::HandleRequestLine(svc, R"({"verb":"stats"})");
+    auto parsed = service::ParseJson(response);
+    FC_CHECK_MSG(parsed.ok(), response.c_str());
+    return parsed->Find("cache")->Find("bytes")->number_value();
+  };
+  EXPECT_EQ(CacheBytes(), 0.0);
+
+  const auto first = svc.Build(SmallRequest("mixture", 1));
+  const auto second = svc.Build(SmallRequest("mixture", 2));
+  ASSERT_TRUE(first.ok() && second.ok());
+  const size_t expected = first->build->bytes + second->build->bytes;
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(svc.CacheStats().bytes, expected);
+  EXPECT_EQ(CacheBytes(), static_cast<double>(expected));
+
+  // A bypass holds its own record outside the cache.
+  BuildRequest bypass = SmallRequest("mixture", 3);
+  bypass.use_cache = false;
+  ASSERT_TRUE(svc.Build(bypass).ok());
+  EXPECT_EQ(CacheBytes(), static_cast<double>(expected));
+
+  ASSERT_TRUE(svc.EvictDataset("mixture").ok());
+  EXPECT_EQ(CacheBytes(), 0.0);
 }
 
 TEST(ServiceTest, TransportLoadGaugesFlowIntoStats) {

@@ -128,6 +128,9 @@ def validate_scenario(responses, transport):
     check(stats.get("ok") and cache.get("hits") == 1
           and cache.get("misses") == 1 and cache.get("entries") == 1,
           f"[{transport}] stats disagree with the traffic: {stats}")
+    check(cache.get("bytes", 0) > 0,
+          f"[{transport}] the cached build must show in cache.bytes: "
+          f"{stats}")
     check(stats.get("protocol_version") == 1,
           f"[{transport}] stats must report protocol_version=1: {stats}")
     scheduler = stats.get("scheduler", {})
