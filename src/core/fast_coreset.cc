@@ -19,34 +19,41 @@ double WeightAt(const std::vector<double>& weights, size_t i) {
 }
 
 /// Step 3: replace every cluster's seeded center by its 1-mean (z = 2) or
-/// 1-median (z = 1) over the cluster's points in the given space.
+/// 1-median (z = 1) over the cluster's points in the given space. An
+/// unused cluster keeps a row of zeros.
 Matrix RefineCenters(const Matrix& points, const std::vector<double>& weights,
                      const std::vector<size_t>& assignment, size_t k, int z) {
+  const size_t d = points.cols();
+  Matrix centers(k, d);
+  if (z == 2) {
+    // One pass in row order: each cluster's sums still add its members in
+    // ascending index order, as a per-cluster gather would.
+    std::vector<double> total(k, 0.0);
+    for (size_t i = 0; i < points.rows(); ++i) {
+      const size_t c = assignment[i];
+      const double w = WeightAt(weights, i);
+      total[c] += w;
+      const auto row = points.Row(i);
+      auto center = centers.Row(c);
+      for (size_t j = 0; j < d; ++j) center[j] += w * row[j];
+    }
+    for (size_t c = 0; c < k; ++c) {
+      if (total[c] <= 0.0) continue;
+      auto center = centers.Row(c);
+      for (size_t j = 0; j < d; ++j) center[j] /= total[c];
+    }
+    return centers;
+  }
   std::vector<std::vector<size_t>> members(k);
   for (size_t i = 0; i < points.rows(); ++i) {
     members[assignment[i]].push_back(i);
   }
-  Matrix centers(k, points.cols());
   for (size_t c = 0; c < k; ++c) {
-    if (members[c].empty()) continue;  // Row of zeros; cluster is unused.
-    if (z == 2) {
-      double total = 0.0;
-      auto center = centers.Row(c);
-      for (size_t idx : members[c]) {
-        const double w = WeightAt(weights, idx);
-        total += w;
-        const auto row = points.Row(idx);
-        for (size_t j = 0; j < points.cols(); ++j) center[j] += w * row[j];
-      }
-      if (total > 0.0) {
-        for (size_t j = 0; j < points.cols(); ++j) center[j] /= total;
-      }
-    } else {
-      const std::vector<double> median =
-          GeometricMedian(points, weights, members[c]);
-      auto center = centers.Row(c);
-      for (size_t j = 0; j < points.cols(); ++j) center[j] = median[j];
-    }
+    if (members[c].empty()) continue;
+    const std::vector<double> median =
+        GeometricMedian(points, weights, members[c]);
+    auto center = centers.Row(c);
+    for (size_t j = 0; j < d; ++j) center[j] = median[j];
   }
   return centers;
 }
@@ -138,6 +145,7 @@ Coreset CoresetFromAssignment(const Matrix& points,
   FC_CHECK_EQ(assignment.size(), points.rows());
   FC_CHECK_GT(num_clusters, 0u);
   FC_CHECK_GT(m, 0u);
+  for (const size_t c : assignment) FC_CHECK_LT(c, num_clusters);
   const Matrix centers =
       RefineCenters(points, weights, assignment, num_clusters, z);
   const ImportanceScores scores =

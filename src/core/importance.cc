@@ -1,7 +1,7 @@
 #include "src/core/importance.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "src/common/discrete_distribution.h"
 #include "src/common/parallel.h"
@@ -83,25 +83,34 @@ Coreset SampleByImportance(const Matrix& points,
   // any boundary-drifted target to the nearest positive-sigma point.
   const DiscreteDistribution distribution(scores.sigma);
 
-  // hits[i] = number of draws landing on point i (only nonzero entries).
-  std::map<size_t, size_t> hits;
-  for (size_t draw = 0; draw < m; ++draw) {
-    ++hits[distribution.Sample(rng)];
+  // Draws in rng order, then sorted: runs of equal indices are the
+  // repeated draws of one point, in ascending point order.
+  std::vector<size_t> draws(m);
+  for (size_t& draw : draws) draw = distribution.Sample(rng);
+  std::sort(draws.begin(), draws.end());
+  std::vector<size_t> run_starts;
+  for (size_t r = 0; r < m; ++r) {
+    if (r == 0 || draws[r] != draws[r - 1]) run_starts.push_back(r);
   }
+  const size_t rows = run_starts.size();
+  run_starts.push_back(m);
 
   Coreset coreset;
-  coreset.indices.reserve(hits.size());
-  coreset.weights.reserve(hits.size());
-  coreset.points = Matrix(hits.size(), points.cols());
-  size_t row = 0;
+  coreset.indices.resize(rows);
+  coreset.weights.resize(rows);
+  coreset.points = Matrix(rows, points.cols());
   const double md = static_cast<double>(m);
-  for (const auto& [idx, count] : hits) {
-    coreset.indices.push_back(idx);
-    coreset.points.CopyRowFrom(points, idx, row++);
-    const double w = WeightAt(weights, idx);
-    coreset.weights.push_back(static_cast<double>(count) * w * scores.total /
-                              (md * scores.sigma[idx]));
-  }
+  ParallelFor(rows, [&](size_t begin, size_t end) {
+    for (size_t row = begin; row < end; ++row) {
+      const size_t idx = draws[run_starts[row]];
+      const size_t count = run_starts[row + 1] - run_starts[row];
+      coreset.indices[row] = idx;
+      coreset.points.CopyRowFrom(points, idx, row);
+      const double w = WeightAt(weights, idx);
+      coreset.weights[row] = static_cast<double>(count) * w * scores.total /
+                             (md * scores.sigma[idx]);
+    }
+  });
   return coreset;
 }
 

@@ -39,6 +39,10 @@ ImportanceScores ComputeSensitivities(const Matrix& points,
 /// Draws m points with replacement proportional to `scores`, merging
 /// repeated draws by summing their weights. Weight of a draw of p is
 /// w_p * total / (m * sigma_p), making the coreset cost estimator unbiased.
+/// The m draws are taken serially (they alone consume `rng`); sorting them
+/// gives the coreset's rows in ascending point order with one row per
+/// distinct point. The rows are then gathered and weighted on the parallel
+/// substrate, so the result is bit-identical at any thread count.
 Coreset SampleByImportance(const Matrix& points,
                            const std::vector<double>& weights,
                            const ImportanceScores& scores, size_t m,

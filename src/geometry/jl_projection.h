@@ -29,6 +29,13 @@ size_t JlTargetDim(size_t k, double eps, size_t original_dim);
 /// Projects `points` to `target_dim` dimensions with a fresh random sketch.
 /// If target_dim >= points.cols() the input is returned unchanged (the
 /// projection can only help when it reduces dimension).
+///
+/// The sketch is drawn serially from `rng`, row-major (d x target_dim).
+/// The projection is a register-tiled kernel run row-parallel on the
+/// parallel substrate. Each output adds its products x_f * S[f][j] in
+/// feature order, skipping features with x_f == 0, and rounds every
+/// product before adding it (no FMA), so the result equals the plain
+/// serial loop bit for bit and is the same at any thread count.
 Matrix JlProject(const Matrix& points, size_t target_dim, Rng& rng,
                  JlSketch sketch = JlSketch::kRademacher);
 

@@ -1,7 +1,10 @@
 // Tests for src/core: importance machinery and the five samplers
 // (tests/api_test.cc covers the facade that fronts them).
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -9,6 +12,8 @@
 
 #include "src/clustering/cost.h"
 #include "src/clustering/kmeans_plus_plus.h"
+#include "src/common/discrete_distribution.h"
+#include "src/common/parallel.h"
 #include "src/core/fast_coreset.h"
 #include "src/core/importance.h"
 #include "src/core/lightweight_coreset.h"
@@ -118,6 +123,98 @@ TEST(ImportanceTest, DuplicateDrawsAreMerged) {
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
               sorted.end());
   EXPECT_NEAR(coreset.TotalWeight(), 3.0, 1e-9);
+}
+
+// Importance sampling with the draws merged in a std::map and the rows
+// copied serially: the reference the sort-and-count, parallel-gather
+// version must match bit for bit.
+Coreset ReferenceSampleByImportance(const Matrix& points,
+                                    const std::vector<double>& weights,
+                                    const ImportanceScores& scores, size_t m,
+                                    Rng& rng) {
+  const DiscreteDistribution distribution(scores.sigma);
+  std::map<size_t, size_t> hits;
+  for (size_t draw = 0; draw < m; ++draw) {
+    ++hits[distribution.Sample(rng)];
+  }
+  Coreset coreset;
+  coreset.points = Matrix(hits.size(), points.cols());
+  size_t row = 0;
+  const double md = static_cast<double>(m);
+  for (const auto& [idx, count] : hits) {
+    coreset.indices.push_back(idx);
+    coreset.points.CopyRowFrom(points, idx, row++);
+    const double w = weights.empty() ? 1.0 : weights[idx];
+    coreset.weights.push_back(static_cast<double>(count) * w * scores.total /
+                              (md * scores.sigma[idx]));
+  }
+  return coreset;
+}
+
+void ExpectSameCoreset(const Coreset& actual, const Coreset& expected) {
+  EXPECT_EQ(actual.indices, expected.indices);
+  ASSERT_EQ(actual.weights.size(), expected.weights.size());
+  EXPECT_EQ(std::memcmp(actual.weights.data(), expected.weights.data(),
+                        expected.weights.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(actual.points.rows(), expected.points.rows());
+  ASSERT_EQ(actual.points.cols(), expected.points.cols());
+  EXPECT_EQ(std::memcmp(actual.points.data().data(),
+                        expected.points.data().data(),
+                        expected.points.data().size() * sizeof(double)),
+            0);
+}
+
+TEST(ImportanceTest, SampleByImportanceMatchesMapReferenceBitForBit) {
+  struct Case {
+    const char* name;
+    size_t n;
+    size_t m;
+    bool weighted;
+    bool zero_sigma_slot;
+  };
+  // Heavy duplicates (m >> n); a large weighted case whose distinct rows
+  // exceed the 4096-row serial cutoff; a zero-sigma slot.
+  const Case cases[] = {{"duplicates", 50, 10000, false, false},
+                        {"weighted", 20000, 12000, true, false},
+                        {"zero_sigma", 300, 2000, true, true}};
+  for (const Case& c : cases) {
+    Rng data_rng(17);
+    const Matrix points = Blobs(5, c.n / 5, 3, data_rng);
+    std::vector<double> weights;
+    if (c.weighted) {
+      for (size_t i = 0; i < c.n; ++i) {
+        weights.push_back(data_rng.Uniform(0.5, 4.0));
+      }
+    }
+    ImportanceScores scores;
+    for (size_t i = 0; i < c.n; ++i) {
+      scores.sigma.push_back(data_rng.Uniform(0.01, 1.0));
+    }
+    if (c.zero_sigma_slot) scores.sigma[c.n / 2] = 0.0;
+    for (double s : scores.sigma) scores.total += s;
+
+    Rng ref_rng(99);
+    const Coreset expected =
+        ReferenceSampleByImportance(points, weights, scores, c.m, ref_rng);
+    for (const size_t threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << " threads " << threads);
+      SetNumThreads(threads);
+      Rng rng(99);
+      const Coreset actual =
+          SampleByImportance(points, weights, scores, c.m, rng);
+      ExpectSameCoreset(actual, expected);
+      Rng ref_after = ref_rng;
+      EXPECT_EQ(rng.NextU64(), ref_after.NextU64());
+      if (c.zero_sigma_slot) {
+        EXPECT_EQ(std::count(actual.indices.begin(), actual.indices.end(),
+                             c.n / 2),
+                  0);
+      }
+    }
+  }
+  ResetNumThreads();
 }
 
 TEST(ImportanceTest, DriftedTargetNeverHitsZeroSigmaPoint) {

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/geometry/bounding_box.h"
 #include "src/geometry/cell_hash.h"
@@ -285,6 +287,77 @@ TEST(JlTest, GaussianSketchAlsoPreserves) {
     }
   }
   EXPECT_NEAR(ratio_sum / pairs, 1.0, 0.2);
+}
+
+// The projection as a plain serial loop over a d x d' sketch matrix: the
+// reference the tiled, row-parallel kernel must match bit for bit.
+Matrix ReferenceJlProject(const Matrix& points, size_t target_dim, Rng& rng,
+                          JlSketch sketch) {
+  const size_t d = points.cols();
+  if (target_dim >= d) return points;
+
+  // Projection matrix S is d x d', scaled so E[||Sx||^2] = ||x||^2.
+  const double scale = 1.0 / std::sqrt(static_cast<double>(target_dim));
+  Matrix sketch_matrix(d, target_dim);
+  for (size_t i = 0; i < d; ++i) {
+    auto row = sketch_matrix.Row(i);
+    for (size_t j = 0; j < target_dim; ++j) {
+      row[j] = scale * (sketch == JlSketch::kGaussian ? rng.NextGaussian()
+                                                      : rng.NextSign());
+    }
+  }
+
+  Matrix projected(points.rows(), target_dim);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    const auto src = points.Row(i);
+    auto dst = projected.Row(i);
+    for (size_t f = 0; f < d; ++f) {
+      const double x = src[f];
+      if (x == 0.0) continue;
+      const auto srow = sketch_matrix.Row(f);
+      for (size_t j = 0; j < target_dim; ++j) dst[j] += x * srow[j];
+    }
+  }
+  return projected;
+}
+
+TEST(JlTest, TiledKernelMatchesSerialLoopBitForBit) {
+  // n above the 4096-row serial cutoff, so 4 threads really split it.
+  const size_t n = 10000, d = 40;
+  Rng data_rng(31);
+  Matrix points(n, d);
+  for (double& x : points.data()) x = data_rng.NextGaussian();
+  // Zero features (skipped by both loops), signed zeros among them, and a
+  // row that is zero everywhere.
+  for (size_t i = 0; i < n; i += 7) points.At(i, i % d) = 0.0;
+  for (size_t i = 3; i < n; i += 11) points.At(i, (i + 5) % d) = -0.0;
+  for (size_t f = 0; f < d; ++f) points.At(42, f) = f % 2 ? 0.0 : -0.0;
+
+  for (const JlSketch sketch : {JlSketch::kRademacher, JlSketch::kGaussian}) {
+    for (const size_t target_dim : {1, 7, 8, 9, 13, 31}) {
+      Rng ref_rng(1000 + target_dim);
+      const Matrix expected =
+          ReferenceJlProject(points, target_dim, ref_rng, sketch);
+      for (const size_t threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "sketch " << static_cast<int>(sketch) << " target "
+                     << target_dim << " threads " << threads);
+        SetNumThreads(threads);
+        Rng rng(1000 + target_dim);
+        const Matrix actual = JlProject(points, target_dim, rng, sketch);
+        ASSERT_EQ(actual.rows(), expected.rows());
+        ASSERT_EQ(actual.cols(), expected.cols());
+        EXPECT_EQ(std::memcmp(actual.data().data(), expected.data().data(),
+                              expected.data().size() * sizeof(double)),
+                  0);
+        // Same rng consumption: the streams continue identically.
+        Rng ref_after = ref_rng;
+        EXPECT_EQ(rng.NextU64(), ref_after.NextU64());
+        EXPECT_EQ(rng.NextGaussian(), ref_after.NextGaussian());
+      }
+    }
+  }
+  ResetNumThreads();
 }
 
 TEST(QuadtreeTest, EveryPointHasALeafAndParentsChainToRoot) {

@@ -11,6 +11,7 @@
 #include "src/data/generators.h"
 #include "src/eval/distortion.h"
 #include "src/geometry/distance.h"
+#include "src/service/fingerprint.h"
 
 namespace fastcoreset {
 namespace {
@@ -150,6 +151,27 @@ TEST(CoresetFromAssignmentTest, ArbitraryPartitionWorks) {
   const Coreset coreset =
       CoresetFromAssignment(points, {}, assignment, 4, 300, 2, rng);
   EXPECT_NEAR(coreset.TotalWeight() / 800.0, 1.0, 0.25);
+}
+
+TEST(CoresetFromAssignmentTest, UnusedAndZeroWeightClustersArePinned) {
+  // z = 2 refinement edge cases: cluster 2 has no points (its center stays
+  // a row of zeros) and every point of cluster 3 has weight 0 (its center
+  // sum stays zero and is not divided). The fingerprint pins the result of
+  // adding each cluster's members in ascending index order.
+  Rng rng(23);
+  const Matrix points = Blobs(4, 150, 3, rng, /*box=*/100.0);
+  std::vector<size_t> assignment(points.rows());
+  std::vector<double> weights(points.rows());
+  const size_t used_ids[] = {0, 1, 3, 4};
+  for (size_t i = 0; i < points.rows(); ++i) {
+    assignment[i] = used_ids[(i * 7) % 4];
+    weights[i] = assignment[i] == 3 ? 0.0 : 1.0 + static_cast<double>(i % 5);
+  }
+  const Coreset coreset =
+      CoresetFromAssignment(points, weights, assignment, 5, 200, 2, rng);
+  for (const size_t idx : coreset.indices) EXPECT_NE(assignment[idx], 3u);
+  EXPECT_EQ(service::FingerprintHex(service::FingerprintCoreset(coreset)),
+            "460a910422584fc6");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/clustering/lloyd.h"
 #include "src/clustering/tree_assign.h"
 #include "src/common/fenwick_tree.h"
+#include "src/core/fast_coreset.h"
 #include "src/data/coreset_io.h"
 #include "src/data/generators.h"
 #include "src/eval/distortion.h"
@@ -176,6 +177,13 @@ TEST(ContractDeathTest, ChecksFireOnBadArguments) {
   EXPECT_DEATH({ Quadtree tree(points, rng, 0); }, "FC_CHECK");
   EXPECT_DEATH(
       { (void)TreeAssign(points, {}, points, 2, rng, /*max_depth=*/63); },
+      "FC_CHECK");
+  // An assignment id at or past num_clusters would index past the
+  // per-cluster arrays.
+  std::vector<size_t> assignment(points.rows(), 0);
+  assignment[4] = 3;
+  EXPECT_DEATH(
+      { (void)CoresetFromAssignment(points, {}, assignment, 3, 5, 2, rng); },
       "FC_CHECK");
 }
 
