@@ -13,9 +13,7 @@
 // acquired first; a thread may only acquire a mutex whose rank is
 // strictly greater than every rank it already holds. The canonical rank
 // table lives in tools/lint/lock_hierarchy.toml (fc_lint's lock-order
-// pass statically checks lexical acquisition patterns against it); the
-// tier_* sentinels at the bottom of this header restate the same order
-// as FC_ACQUIRED_BEFORE/FC_ACQUIRED_AFTER clang annotations; and in
+// pass statically checks lexical acquisition patterns against it), and in
 // debug/sanitizer builds (FC_MUTEX_RANK_CHECKS) every Lock() checks the
 // order dynamically against a thread-local stack of held ranks, so an
 // inversion aborts at the site instead of deadlocking in production.
@@ -234,24 +232,6 @@ class CondVar {
  private:
   std::condition_variable cv_;
 };
-
-namespace lock_rank {
-
-// Never-locked sentinel mutexes restating the rank order as clang
-// thread-safety facts: tier_X FC_ACQUIRED_AFTER(tier_Y) chains the
-// total order, and each real ranked mutex brackets itself between its
-// own tier and the next one (FC_ACQUIRED_AFTER its tier,
-// FC_ACQUIRED_BEFORE the next), so transitivity orders every ranked
-// pair. Clang checks these under -Wthread-safety-beta; plain
-// -Wthread-safety accepts and ignores them.
-inline Mutex tier_net_server;
-inline Mutex tier_service_scheduler FC_ACQUIRED_AFTER(tier_net_server);
-inline Mutex tier_dataset_store FC_ACQUIRED_AFTER(tier_service_scheduler);
-inline Mutex tier_coreset_cache FC_ACQUIRED_AFTER(tier_dataset_store);
-inline Mutex tier_task_graph FC_ACQUIRED_AFTER(tier_coreset_cache);
-inline Mutex tier_pool_dispatch FC_ACQUIRED_AFTER(tier_task_graph);
-
-}  // namespace lock_rank
 
 }  // namespace fastcoreset
 

@@ -287,8 +287,7 @@ class ThreadPool {
 
   // Rank kPoolDispatch: the innermost lock of the tree — nothing may be
   // acquired while it is held.
-  Mutex mutex_ FC_ACQUIRED_AFTER(lock_rank::tier_pool_dispatch){
-      lock_rank::kPoolDispatch};
+  Mutex mutex_{lock_rank::kPoolDispatch};
   CondVar work_cv_;  // Workers park here between tasks.
   CondVar done_cv_;  // Dispatchers wait here for their task's completion.
   std::vector<std::thread> workers_ FC_GUARDED_BY(mutex_);

@@ -99,9 +99,7 @@ class TaskGraph {
   /// Rank kTaskGraph: above the pool-dispatch mutex (a node executor
   /// never reaches into the graph while dispatching chunks) and below
   /// every service-layer lock.
-  Mutex mutex_ FC_ACQUIRED_AFTER(lock_rank::tier_task_graph)
-      FC_ACQUIRED_BEFORE(lock_rank::tier_pool_dispatch){
-          lock_rank::kTaskGraph};
+  Mutex mutex_{lock_rank::kTaskGraph};
   CondVar ready_cv_;  ///< Signaled on new ready tasks and on drain.
   std::vector<TaskId> ready_ FC_GUARDED_BY(mutex_);  ///< Sorted claim pool.
   size_t running_ FC_GUARDED_BY(mutex_) = 0;

@@ -71,20 +71,6 @@
 #define FC_RETURN_CAPABILITY(x) \
   FC_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
 
-/// On a mutex declaration: this mutex is acquired before the listed
-/// mutex(es) when both are held. Together with FC_ACQUIRED_AFTER this
-/// declares the global lock-rank order (src/common/mutex.h sentinels +
-/// tools/lint/lock_hierarchy.toml); clang checks the order under
-/// -Wthread-safety-beta, and fc_lint's lock-order pass checks it under
-/// every compiler.
-#define FC_ACQUIRED_BEFORE(...) \
-  FC_THREAD_ANNOTATION_ATTRIBUTE(acquired_before(__VA_ARGS__))
-
-/// On a mutex declaration: this mutex is acquired after the listed
-/// mutex(es) when both are held (the inner lock of the pair).
-#define FC_ACQUIRED_AFTER(...) \
-  FC_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
-
 /// Escape hatch: disables the analysis for one function. Every use must
 /// carry a comment saying why the discipline cannot be expressed.
 #define FC_NO_THREAD_SAFETY_ANALYSIS \

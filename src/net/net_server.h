@@ -120,9 +120,7 @@ class NetServer {
   /// Rank kNetServer: the outermost lock of the tree — held briefly
   /// around state transitions, never across service calls or blocking
   /// socket I/O (see tools/lint/lock_hierarchy.toml).
-  mutable Mutex mutex_ FC_ACQUIRED_AFTER(lock_rank::tier_net_server)
-      FC_ACQUIRED_BEFORE(lock_rank::tier_service_scheduler){
-          lock_rank::kNetServer};
+  mutable Mutex mutex_{lock_rank::kNetServer};
   CondVar queue_cv_;  ///< Workers wait here for queue_ / stop.
   std::map<uint64_t, Session> sessions_ FC_GUARDED_BY(mutex_);
   std::deque<QueuedRequest> queue_ FC_GUARDED_BY(mutex_);

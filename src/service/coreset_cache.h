@@ -83,9 +83,7 @@ class CoresetCache {
   };
 
   /// Rank kCoresetCache (see tools/lint/lock_hierarchy.toml).
-  mutable Mutex mutex_ FC_ACQUIRED_AFTER(lock_rank::tier_coreset_cache)
-      FC_ACQUIRED_BEFORE(lock_rank::tier_task_graph){
-          lock_rank::kCoresetCache};
+  mutable Mutex mutex_{lock_rank::kCoresetCache};
   const size_t capacity_;  ///< Immutable after construction: lock-free reads.
   /// Front = most recently used.
   std::list<std::string> lru_ FC_GUARDED_BY(mutex_);

@@ -85,9 +85,7 @@ class DatasetStore {
 
  private:
   /// Rank kDatasetStore (see tools/lint/lock_hierarchy.toml).
-  mutable Mutex mutex_ FC_ACQUIRED_AFTER(lock_rank::tier_dataset_store)
-      FC_ACQUIRED_BEFORE(lock_rank::tier_coreset_cache){
-          lock_rank::kDatasetStore};
+  mutable Mutex mutex_{lock_rank::kDatasetStore};
   std::map<std::string, std::shared_ptr<const DatasetEntry>> entries_
       FC_GUARDED_BY(mutex_);
 };

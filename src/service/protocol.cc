@@ -425,7 +425,6 @@ std::string HandleBuild(CoresetService& service, const JsonValue& request,
     out.Raw("shard_windows", shard_windows + "]");
   }
   if (diag.has_merge) {
-    out.Integer("merge_reduce_ops", diag.merge.stream_reduce_ops);
     out.Number("merge_seconds", diag.merge.total_seconds);
   }
   if (!output.empty()) out.String("output", output);

@@ -1,7 +1,7 @@
 // CoresetService: the long-lived, request-driven front over the one-shot
 // api::Build. It composes the service-layer parts — DatasetStore (named
 // data + content fingerprints), ShardPlanner (deterministic sharded
-// merge-&-reduce builds), CoresetCache (LRU over completed builds) — into
+// builds), CoresetCache (LRU over completed builds) — into
 // one entry point: validate the request, resolve the dataset, consult the
 // cache, build on miss, and return the coreset with diagnostics that say
 // exactly what the request cost (and what a cache hit saved).
@@ -145,10 +145,7 @@ class CoresetService {
   /// Rank kServiceScheduler: the outermost lock of the service layer —
   /// only the net transport's kNetServer mutex ranks outside it (see
   /// tools/lint/lock_hierarchy.toml).
-  mutable Mutex scheduler_mutex_
-      FC_ACQUIRED_AFTER(lock_rank::tier_service_scheduler)
-          FC_ACQUIRED_BEFORE(lock_rank::tier_dataset_store){
-              lock_rank::kServiceScheduler};
+  mutable Mutex scheduler_mutex_{lock_rank::kServiceScheduler};
   SchedulerTotals scheduler_totals_ FC_GUARDED_BY(scheduler_mutex_);
   TransportStats transport_stats_ FC_GUARDED_BY(scheduler_mutex_);
 };

@@ -1,6 +1,5 @@
 #include "src/service/shard_planner.h"
 
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -149,7 +148,7 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
 
   if (shards > 1) {
     graph.AddTask(
-        [&spec, &points, &built, &diag, &merge_status, &result, shards] {
+        [&spec, &built, &diag, &merge_status, &result, shards] {
           // A failed shard makes the merge moot; the failure itself is
           // surfaced (in shard order) by the assembly below.
           for (size_t i = 0; i < shards; ++i) {
@@ -158,76 +157,42 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
               return;
             }
           }
-          // Merge phase: feed the shard coresets through the streaming
-          // merge-&-reduce compressor (coresets of coresets are
-          // coresets). The compressor's global stream positions index
-          // the concatenation of the pushed shard coresets;
-          // `stream_to_dataset` maps them back to original dataset rows.
+          // Merge node: one more api::Build, over the weighted union of
+          // the shard coresets in fixed shard order (that union is itself
+          // a coreset of the dataset, so one reduce suffices). Zero-weight
+          // rows carry no mass and some methods (bico's CF tree) reject
+          // them, so they are left out. `union_to_dataset` maps union rows
+          // back to original dataset rows.
           api::CoresetSpec merge_spec = spec;
           merge_spec.weights.clear();
           merge_spec.seed =
               DeriveBuildSeed(spec.seed, kMergeSeedDomain, shards);
-          api::FcStatusOr<CoresetBuilder> builder =
-              api::MakeBuilder(merge_spec);
-          if (!builder.ok()) {
-            merge_status = builder.status();
-            return;
-          }
-
-          Timer merge_timer;
-          Rng merge_rng(merge_spec.seed);
-          StreamingCompressor compressor(builder.value(), spec.EffectiveM(),
-                                         &merge_rng);
-          std::vector<size_t> stream_to_dataset;
+          Matrix shard_union;
+          std::vector<size_t> union_to_dataset;
           for (size_t i = 0; i < shards; ++i) {
             const Coreset& shard = built[i].coreset;
-            // Zero-weight rows carry no mass and some reducers (bico's
-            // CF tree) reject them; dropping them changes nothing the
-            // coreset represents.
             std::vector<size_t> keep;
-            keep.reserve(shard.size());
             for (size_t r = 0; r < shard.size(); ++r) {
-              if (shard.weights[r] > 0.0) keep.push_back(r);
+              if (shard.weights[r] <= 0.0) continue;
+              keep.push_back(r);
+              union_to_dataset.push_back(shard.indices[r]);
+              merge_spec.weights.push_back(shard.weights[r]);
             }
-            if (keep.empty()) continue;
-            std::vector<double> weights;
-            weights.reserve(keep.size());
-            for (size_t r : keep) {
-              stream_to_dataset.push_back(shard.indices[r]);
-              weights.push_back(shard.weights[r]);
-            }
-            compressor.Push(shard.points.SelectRows(keep), weights);
+            shard_union.AppendRows(shard.points.SelectRows(keep));
           }
-          if (stream_to_dataset.empty()) {
-            merge_status =
-                api::FcStatus::Internal("all shard coresets were empty");
+          api::FcStatusOr<api::BuildResult> merged =
+              api::Build(merge_spec, shard_union);
+          if (!merged.ok()) {
+            merge_status = merged.status();
             return;
           }
-          Coreset merged = compressor.Finalize();
-          for (size_t& index : merged.indices) {
-            index = index < stream_to_dataset.size()
-                        ? stream_to_dataset[index]
-                        : Coreset::kSyntheticIndex;
+          for (size_t& index : merged->coreset.indices) {
+            if (index != Coreset::kSyntheticIndex) {
+              index = union_to_dataset[index];
+            }
           }
-          api::BuildDiagnostics& merge = diag.merge;
-          merge.total_seconds = merge_timer.Seconds();
-          merge.method = diag.shards[0].build.method;
-          merge.seed = merge_spec.seed;
-          merge.input_rows = stream_to_dataset.size();
-          merge.input_dims = points.cols();
-          merge.k = spec.k;
-          merge.m_requested = spec.m;
-          merge.m_effective = spec.EffectiveM();
-          merge.z = spec.z;
-          merge.stream_blocks = compressor.BlocksConsumed();
-          merge.stream_reduce_ops = compressor.ReduceOps();
-          merge.stream_levels = compressor.OccupiedLevels();
-          merge.points_processed = compressor.BuilderRowsProcessed();
-          merge.bytes_processed =
-              merge.points_processed * points.cols() * sizeof(double);
-          merge.output_rows = merged.size();
-          merge.output_total_weight = merged.TotalWeight();
-          result.coreset = std::move(merged);
+          result.coreset = std::move(merged->coreset);
+          diag.merge = std::move(merged->diagnostics);
         },
         shard_nodes);
   }
@@ -245,7 +210,7 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
   } else if (!merge_status.ok()) {
     return merge_status;
   }
-  // The shards partition the rows; the merge re-reduces shard coresets.
+  // The shards partition the rows; the merge reduces their union once.
   diag.points_processed = points.rows() + diag.merge.points_processed;
   diag.bytes_processed =
       diag.points_processed * points.cols() * sizeof(double);

@@ -1,12 +1,13 @@
-// ShardPlanner: sharded coreset builds via merge-&-reduce composition.
+// ShardPlanner: sharded coreset builds via one reduce of the shard union.
 //
-// The paper's composability property — a coreset of a union of coresets is
-// a coreset of the union — is what makes sharded serving correct: the
-// dataset is split into contiguous row-range shards, each shard is
-// compressed independently (one api::Build per shard, on the persistent
-// thread pool), and the shard coresets are combined through the streaming
-// merge-&-reduce compressor (src/streaming/merge_reduce) into one final
-// size-m coreset whose indices still refer to the original dataset rows.
+// The paper's composability property — the weighted union of coresets of
+// disjoint parts is a coreset of the whole — is what makes sharded
+// serving correct: the dataset is split into contiguous row-range
+// shards, each shard is compressed independently (one api::Build per
+// shard, on the persistent thread pool), and the positive-weight rows of
+// the shard coresets, concatenated in shard order, are compressed once
+// more by a single api::Build (the merge node) into the final size-m
+// coreset, whose indices still refer to the original dataset rows.
 //
 // Execution runs on the task-graph tier (src/common/task_graph.h): one
 // graph node per shard build plus a merge node that waits on every shard
@@ -15,13 +16,13 @@
 //
 // Diagnostics: every node writes its accounting in place into the
 // result's ShardedBuildDiagnostics — each shard node its own
-// ShardDiagnostics slot, the merge node the merge record — and
-// ServiceDiagnostics extends that struct, so the numbers reach the wire
-// without being copied from struct to struct.
+// ShardDiagnostics slot, the merge node the merge record (its build's
+// own BuildDiagnostics) — and ServiceDiagnostics extends that struct, so
+// the numbers reach the wire without being copied from struct to struct.
 //
 // Determinism contract: each shard's build seeds a fresh Rng with
 // DeriveBuildSeed(spec.seed, kShardSeedDomain, shard_index), the merge
-// phase gets its own derived seed, and the merge consumes shard coresets
+// build gets its own derived seed, and the merge consumes shard coresets
 // in fixed shard order — so a (seed, shard_count) pair fully determines
 // the result, bit-identically at any FC_THREADS and any parallelism
 // budget: concurrent shard execution equals the sequential walk
@@ -91,10 +92,11 @@ struct ShardDiagnostics {
 struct ShardedBuildDiagnostics {
   std::vector<ShardDiagnostics> shards;  ///< One entry per shard, in order.
   bool has_merge = false;                ///< True when shards > 1.
-  /// Merge-phase accounting (stream_* fields + wall clock) when has_merge.
+  /// The merge build's own diagnostics when has_merge: input_rows is the
+  /// positive-weight shard-coreset rows it reduced.
   api::BuildDiagnostics merge;
   TaskGraph::RunStats scheduler;  ///< Task-graph run counters.
-  size_t points_processed = 0;  ///< Shard rows + merge re-reduction rows.
+  size_t points_processed = 0;  ///< Shard rows + merge input rows.
   size_t bytes_processed = 0;   ///< points_processed * dims * sizeof(double).
   /// Wall clock of the whole graph run — the critical path through the
   /// overlapped shard windows plus the merge, NOT the per-shard sum.
@@ -108,12 +110,13 @@ struct ShardedBuildResult {
 };
 
 /// Runs the full sharded pipeline: plan, per-shard api::Build with derived
-/// seeds submitted as task-graph nodes, merge-&-reduce combine as the node
-/// every shard edge feeds. spec.weights (when non-empty) must match
-/// points.rows() and is sliced per shard. `parallelism` is the worker
-/// budget for the graph (0 = all workers; 1 = the sequential reference
-/// walk); it never changes the result, only the schedule. All
-/// request-level failures come back as a status; nothing aborts.
+/// seeds submitted as task-graph nodes, and one api::Build of the weighted
+/// shard-coreset union as the merge node every shard edge feeds.
+/// spec.weights (when non-empty) must match points.rows() and is sliced
+/// per shard. `parallelism` is the worker budget for the graph (0 = all
+/// workers; 1 = the sequential reference walk); it never changes the
+/// result, only the schedule. All request-level failures come back as a
+/// status; nothing aborts.
 api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
                                                  const Matrix& points,
                                                  size_t shard_count,

@@ -367,10 +367,29 @@ TEST(ShardedBuildTest, ShardDiagnosticsAndIndicesCoverTheDataset) {
     previous_seed = shard.seed;
   }
   EXPECT_TRUE(result->diagnostics.has_merge);
-  EXPECT_EQ(result->diagnostics.merge.stream_blocks, 4u);
-  EXPECT_GT(result->diagnostics.merge.stream_reduce_ops, 0u);
-  // Shard rows + merge re-reduction rows.
-  EXPECT_GT(result->diagnostics.points_processed, 400u);
+  // The merge is one facade build over the positive-weight rows of the
+  // shard coresets; rebuild each shard from its recorded seed and range
+  // to count them.
+  size_t union_rows = 0;
+  for (const auto& shard : result->diagnostics.shards) {
+    std::vector<size_t> rows;
+    for (size_t r = shard.row_begin; r < shard.row_end; ++r) rows.push_back(r);
+    api::CoresetSpec shard_spec = SmallSpec();
+    shard_spec.seed = shard.seed;
+    const auto rebuilt = api::Build(shard_spec, points.SelectRows(rows));
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    for (double w : rebuilt->coreset.weights) union_rows += w > 0.0 ? 1 : 0;
+  }
+  const api::BuildDiagnostics& merge = result->diagnostics.merge;
+  EXPECT_EQ(merge.input_rows, union_rows);
+  // m draws with replacement: repeated rows collapse into one weighted
+  // row, so the merge yields at most m_effective rows.
+  EXPECT_EQ(merge.m_effective, 60u);
+  EXPECT_EQ(merge.output_rows, result->coreset.size());
+  EXPECT_LE(merge.output_rows, merge.m_effective);
+  EXPECT_FALSE(merge.stages.empty());
+  // Shard rows + merge input rows.
+  EXPECT_EQ(result->diagnostics.points_processed, 400u + merge.input_rows);
 
   // Sampled indices must refer to original dataset rows within the
   // owning shard's range (synthetic rows excepted).
@@ -880,8 +899,7 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
       "bytes_processed", "build_seconds", "critical_path_seconds",
       "seconds"};
   std::set<std::string> miss_keys = hit_keys;
-  miss_keys.insert({"shard_seconds", "shard_windows", "merge_reduce_ops",
-                    "merge_seconds"});
+  miss_keys.insert({"shard_seconds", "shard_windows", "merge_seconds"});
   EXPECT_EQ(Keys(first), miss_keys);
   EXPECT_GE(first.Find("parallelism")->number_value(), 1.0);
   EXPECT_EQ(first.Find("shard_seconds")->array().size(), 2u);
