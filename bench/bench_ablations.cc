@@ -156,9 +156,10 @@ int main() {
               "sizes\n");
   group_table.Print();
 
-  // Streaming-uniform ablation (Section 5.4): merge-&-reduce uniform vs a
-  // one-pass exact-uniform reservoir on the c-outlier stream. The paper
-  // observes merge-&-reduce's induced non-uniformity can *help* here.
+  // Streaming-uniform ablation (Section 5.4): merge-&-reduce uniform vs
+  // exact uniform sampling (static `uniform`, without replacement) on the
+  // c-outlier stream. The paper observes merge-&-reduce's induced
+  // non-uniformity can *help* here.
   Rng outlier_rng(79);
   const Matrix outliers = GenerateCOutlier(n, 5, 50, 1e4, outlier_rng);
   TablePrinter stream_table;
@@ -169,27 +170,23 @@ int main() {
   uniform_spec.k = k;
   const CoresetBuilder uniform_builder =
       api::MakeBuilder(uniform_spec).value();
-  for (const bool reservoir : {false, true}) {
-    const TrialStats stats = RunTrials(runs, 33000 + reservoir, [&](Rng& rng) {
-      Coreset coreset;
-      if (reservoir) {
-        WeightedReservoir sampler(m_stream, outliers.cols(), &rng);
-        sampler.OfferAll(outliers);
-        coreset = sampler.Extract();
-      } else {
-        coreset = StreamingCompress(outliers, {}, uniform_builder,
+  uniform_spec.m = m_stream;
+  for (const bool exact : {false, true}) {
+    const TrialStats stats = RunTrials(runs, 33000 + exact, [&](Rng& rng) {
+      const Coreset coreset =
+          exact ? api::Build(uniform_spec, outliers, {}, rng)->coreset
+                : StreamingCompress(outliers, {}, uniform_builder,
                                     outliers.rows() / 8, m_stream, rng);
-      }
       DistortionOptions probe;
       probe.k = k;
       return CoresetDistortion(outliers, {}, coreset, probe, rng);
     });
-    stream_table.AddRow({reservoir ? "one-pass reservoir (A-ExpJ)"
-                                   : "merge-&-reduce composition",
+    stream_table.AddRow({exact ? "static uniform (exact, without replacement)"
+                               : "merge-&-reduce composition",
                          bench::DistortionCell(stats.value.Mean(),
                                                stats.value.Variance())});
   }
-  std::printf("\nStreaming uniform sampling on c-outlier: reservoir vs "
+  std::printf("\nStreaming uniform sampling on c-outlier: exact uniform vs "
               "merge-&-reduce\n");
   stream_table.Print();
   std::printf("\nExpected shape: baseline distortion ~1.1; removing "

@@ -24,7 +24,7 @@
 //     diagnostics (per-stage wall-clock, effective parameters, volumes).
 //   - FcStatus / FcStatusOr (src/api/status.h): recoverable errors.
 //
-// Streaming composition (merge-&-reduce, reservoirs) is re-exported here:
+// Streaming composition (merge-&-reduce) is re-exported here:
 // wrap any spec into a CoresetBuilder with MakeBuilder() and feed a
 // StreamingCompressor, or let BuildStreaming() run the whole pipeline.
 // For a long-lived request-driven front (named datasets, sharded builds,
@@ -45,7 +45,6 @@
 #include "src/core/coreset.h"
 #include "src/geometry/matrix.h"
 #include "src/streaming/merge_reduce.h"
-#include "src/streaming/reservoir.h"
 
 namespace fastcoreset {
 namespace api {

@@ -49,22 +49,6 @@ double CostToCenters(const Matrix& points, const std::vector<double>& weights,
   });
 }
 
-double AssignmentCost(const Matrix& points, const std::vector<double>& weights,
-                      const Matrix& centers,
-                      const std::vector<size_t>& assignment, int z) {
-  FC_CHECK(z == 1 || z == 2);
-  FC_CHECK_EQ(assignment.size(), points.rows());
-  return ParallelReduce(points.rows(), [&](size_t begin, size_t end) {
-    double partial = 0.0;
-    for (size_t i = begin; i < end; ++i) {
-      const double sq =
-          SquaredL2(points.Row(i), centers.Row(assignment[i]));
-      partial += WeightAt(weights, i) * ApplyPower(sq, z);
-    }
-    return partial;
-  });
-}
-
 void RefreshAssignment(const Matrix& points,
                        const std::vector<double>& weights,
                        Clustering* clustering) {

@@ -15,12 +15,6 @@ namespace fastcoreset {
 double CostToCenters(const Matrix& points, const std::vector<double>& weights,
                      const Matrix& centers, int z);
 
-/// Cost of a fixed assignment (points need not be assigned to their nearest
-/// center — Fast-kmeans++ produces such assignments).
-double AssignmentCost(const Matrix& points, const std::vector<double>& weights,
-                      const Matrix& centers,
-                      const std::vector<size_t>& assignment, int z);
-
 /// Reassigns every point to its nearest center and recomputes point costs
 /// and the (weighted) total. Centers and z are taken from `clustering`.
 void RefreshAssignment(const Matrix& points,

@@ -59,9 +59,8 @@ namespace lock_rank {
 
 // The global acquisition order, outermost first. Gaps leave room for new
 // tiers (the socket daemon and tiered cache on the roadmap) without
-// renumbering. Keep in sync with tools/lint/lock_hierarchy.toml — the
-// fc_lint lock-order pass cross-checks every ranked Mutex declaration
-// against that file.
+// renumbering. The fc_lint lock-order pass reads its ranks from here
+// (tools/lint/lock_hierarchy.toml names each lock's constant).
 inline constexpr int kUnranked = 0;  ///< Exempt (short-lived/test locks).
 inline constexpr int kNetServer = 5;          ///< NetServer sessions/queue.
 inline constexpr int kServiceScheduler = 10;  ///< CoresetService totals.

@@ -75,9 +75,8 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
 /// into `num_clusters` groups, refine each group's center to its 1-mean
 /// (z = 2) or 1-median (z = 1) in the space of `points`, compute the
 /// eq.-(1) sensitivities and importance-sample m points. Exposed so
-/// alternative seeders and the iterative construction (Section 8.4) can
-/// reuse the sampling tail. Every assignment id must be below
-/// `num_clusters` (FC_CHECK).
+/// alternative seeders can reuse the sampling tail. Every assignment id
+/// must be below `num_clusters` (FC_CHECK).
 Coreset CoresetFromAssignment(const Matrix& points,
                               const std::vector<double>& weights,
                               const std::vector<size_t>& assignment,

@@ -177,7 +177,6 @@ void NetServer::Serve() {
                                        queue_.size(), options_.max_queue) +
                                        "\n");
             ::close(client);
-            ++requests_rejected_;
             service_.AddTransportRejections(1);
             continue;
           }
@@ -312,7 +311,6 @@ void NetServer::DispatchReadyLines(Session& session) {
       session.CompleteRequest(
           request->sequence,
           service::OverloadResponse(queue_.size(), options_.max_queue));
-      ++requests_rejected_;
       service_.AddTransportRejections(1);
       continue;
     }

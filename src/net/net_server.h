@@ -125,7 +125,6 @@ class NetServer {
   std::map<uint64_t, Session> sessions_ FC_GUARDED_BY(mutex_);
   std::deque<QueuedRequest> queue_ FC_GUARDED_BY(mutex_);
   size_t executing_ FC_GUARDED_BY(mutex_) = 0;
-  uint64_t requests_rejected_ FC_GUARDED_BY(mutex_) = 0;
   uint64_t next_session_id_ FC_GUARDED_BY(mutex_) = 1;
   bool stop_workers_ FC_GUARDED_BY(mutex_) = false;
 

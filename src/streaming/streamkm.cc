@@ -33,20 +33,10 @@ Coreset StreamKmReduce(const Matrix& points,
   Coreset coreset;
   coreset.points = seeding.centers;
   coreset.weights = std::move(rep_weight);
-  // KMeansPlusPlus centers are input rows, but it does not report which;
-  // representatives are exact input points, so record them as synthetic is
-  // unnecessary — recover indices by matching assignment: the center of
-  // cluster c is the point that has cost 0. Cheaper: mark synthetic; the
-  // points themselves are genuine dataset rows either way.
+  // The centers are input rows, but KMeansPlusPlus does not report which,
+  // so the indices are kSyntheticIndex.
   coreset.indices.assign(actual, Coreset::kSyntheticIndex);
   return coreset;
-}
-
-CoresetBuilder MakeStreamKmBuilder() {
-  return [](const Matrix& points, const std::vector<double>& weights,
-            size_t m, Rng& rng) {
-    return StreamKmReduce(points, weights, m, rng);
-  };
 }
 
 }  // namespace fastcoreset

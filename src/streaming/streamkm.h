@@ -24,9 +24,6 @@ Coreset StreamKmReduce(const Matrix& points,
                        const std::vector<double>& weights, size_t m,
                        Rng& rng);
 
-/// CoresetBuilder adapter for use with StreamingCompressor.
-CoresetBuilder MakeStreamKmBuilder();
-
 }  // namespace fastcoreset
 
 #endif  // FASTCORESET_STREAMING_STREAMKM_H_

@@ -45,18 +45,6 @@ TEST(CostTest, CostToCentersHandMade) {
               1e-12);
 }
 
-TEST(CostTest, AssignmentCostAtLeastNearestCost) {
-  Rng rng(1);
-  Matrix points(20, 2);
-  for (double& x : points.data()) x = rng.Uniform(0.0, 10.0);
-  Matrix centers(3, 2);
-  for (double& x : centers.data()) x = rng.Uniform(0.0, 10.0);
-  // Deliberately bad assignment: everything to center 0.
-  const std::vector<size_t> all_zero(20, 0);
-  EXPECT_GE(AssignmentCost(points, {}, centers, all_zero, 2),
-            CostToCenters(points, {}, centers, 2) - 1e-9);
-}
-
 TEST(CostTest, RefreshAssignmentComputesNearest) {
   Matrix points(3, 1);
   points.At(0, 0) = 0.0;

@@ -21,6 +21,7 @@
 #include "src/core/uniform_sampling.h"
 #include "src/core/welterweight_coreset.h"
 #include "src/data/generators.h"
+#include "src/service/fingerprint.h"
 
 namespace fastcoreset {
 namespace {
@@ -327,6 +328,31 @@ TEST(UniformTest, WeightedInputPreservesTotalWeight) {
   EXPECT_NEAR(coreset.TotalWeight(), 100.0, 1e-9);
 }
 
+TEST(UniformTest, UnweightedInclusionIsUniform) {
+  // Every input position should appear with probability m/n.
+  const size_t n = 2000, m = 100;
+  std::vector<int> appearances(n, 0);
+  const int trials = 300;
+  Matrix points(n, 1);
+  for (size_t i = 0; i < n; ++i) points.At(i, 0) = static_cast<double>(i);
+  for (int t = 0; t < trials; ++t) {
+    Rng rng(500 + t);
+    const Coreset coreset = UniformSamplingCoreset(points, {}, m, rng);
+    for (size_t idx : coreset.indices) ++appearances[idx];
+  }
+  // Expected appearances = trials * m / n = 15. Check first/middle/last
+  // deciles are all close (no positional bias).
+  auto decile_mean = [&](size_t begin) {
+    double sum = 0.0;
+    for (size_t i = begin; i < begin + n / 10; ++i) sum += appearances[i];
+    return sum / (n / 10.0);
+  };
+  const double expected = trials * static_cast<double>(m) / n;
+  EXPECT_NEAR(decile_mean(0), expected, 0.15 * expected);
+  EXPECT_NEAR(decile_mean(n / 2), expected, 0.15 * expected);
+  EXPECT_NEAR(decile_mean(n - n / 10), expected, 0.15 * expected);
+}
+
 TEST(UniformTest, MissesOutliersOnCOutlierData) {
   // The paper's central negative result for uniform sampling: on the
   // c-outlier dataset, a small uniform sample almost surely misses all c
@@ -476,6 +502,39 @@ TEST(FastCoresetTest, CenterCorrectionAddsSyntheticRows) {
   }
   EXPECT_GT(synthetic, 0u);
   EXPECT_LE(synthetic, 4u);
+}
+
+TEST(CoresetFromAssignmentTest, ArbitraryPartitionWorks) {
+  // Even a mediocre partition (round-robin) yields a valid unbiased
+  // compression — just with worse constants.
+  Rng rng(10);
+  const Matrix points = Blobs(4, 200, 3, rng, /*box=*/100.0);
+  std::vector<size_t> assignment(points.rows());
+  for (size_t i = 0; i < points.rows(); ++i) assignment[i] = i % 4;
+  const Coreset coreset =
+      CoresetFromAssignment(points, {}, assignment, 4, 300, 2, rng);
+  EXPECT_NEAR(coreset.TotalWeight() / 800.0, 1.0, 0.25);
+}
+
+TEST(CoresetFromAssignmentTest, UnusedAndZeroWeightClustersArePinned) {
+  // z = 2 refinement edge cases: cluster 2 has no points (its center stays
+  // a row of zeros) and every point of cluster 3 has weight 0 (its center
+  // sum stays zero and is not divided). The fingerprint pins the result of
+  // adding each cluster's members in ascending index order.
+  Rng rng(23);
+  const Matrix points = Blobs(4, 150, 3, rng, /*box=*/100.0);
+  std::vector<size_t> assignment(points.rows());
+  std::vector<double> weights(points.rows());
+  const size_t used_ids[] = {0, 1, 3, 4};
+  for (size_t i = 0; i < points.rows(); ++i) {
+    assignment[i] = used_ids[(i * 7) % 4];
+    weights[i] = assignment[i] == 3 ? 0.0 : 1.0 + static_cast<double>(i % 5);
+  }
+  const Coreset coreset =
+      CoresetFromAssignment(points, weights, assignment, 5, 200, 2, rng);
+  for (const size_t idx : coreset.indices) EXPECT_NE(assignment[idx], 3u);
+  EXPECT_EQ(service::FingerprintHex(service::FingerprintCoreset(coreset)),
+            "460a910422584fc6");
 }
 
 TEST(CoresetTest, TotalWeightSurvivesMixedMagnitudes) {

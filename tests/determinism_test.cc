@@ -22,7 +22,6 @@
 #include "src/clustering/kmeans_parallel.h"
 #include "src/clustering/kmeans_plus_plus.h"
 #include "src/clustering/lloyd.h"
-#include "src/clustering/tree_assign.h"
 #include "src/common/parallel.h"
 #include "src/core/fast_coreset.h"
 #include "src/core/importance.h"
@@ -525,15 +524,11 @@ TEST(GoldenFingerprintTest, FastCoresetBuildsMatchPinnedFingerprints) {
   });
 }
 
-TEST(GoldenFingerprintTest, SeedersAndTreeAssignMatchPinnedFingerprints) {
+TEST(GoldenFingerprintTest, SeedersMatchPinnedFingerprints) {
   const Matrix points = TestPoints(6, 304);
   std::vector<size_t> rows(kRows);
   for (size_t i = 0; i < kRows; ++i) rows[i] = i % 700;
   const Matrix duplicated = points.SelectRows(rows);
-  Matrix centers(25, points.cols());
-  for (size_t c = 0; c < centers.rows(); ++c) {
-    centers.CopyRowFrom(points, c * 211, c);
-  }
 
   const auto seeding = [](const Matrix& data,
                           const FastKMeansPlusPlusOptions& options, size_t k) {
@@ -566,21 +561,6 @@ TEST(GoldenFingerprintTest, SeedersAndTreeAssignMatchPinnedFingerprints) {
        [&] { return seeding(duplicated, median, 40); }},
       {"fast_kmpp_k_exceeds_distinct", 0xac068fc0a12ad176ull,
        [&] { return seeding(duplicated, plain, 900); }},
-      {"tree_assign", 0xb49d0b373f19df6eull,
-       [&] {
-         Rng rng(306);
-         const Clustering clustering =
-             TreeAssign(points, {}, centers, /*z=*/2, rng);
-         return FingerprintClustering(clustering, rng);
-       }},
-      {"tree_assign_duplicates_depth_8", 0xc9a40ddc3308e51dull,
-       [&] {
-         Rng rng(307);
-         const Clustering clustering =
-             TreeAssign(duplicated, {}, centers, /*z=*/1, rng,
-                        /*max_depth=*/8);
-         return FingerprintClustering(clustering, rng);
-       }},
   });
 }
 

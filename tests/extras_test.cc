@@ -1,5 +1,5 @@
 // Tests for the second wave of extensions: parallel kernels, k-means||,
-// AFK-MC^2, the weighted reservoir, and the quality report.
+// AFK-MC^2, and the quality report.
 
 #include <cmath>
 #include <set>
@@ -16,7 +16,6 @@
 #include "src/data/generators.h"
 #include "src/eval/quality_report.h"
 #include "src/geometry/distance.h"
-#include "src/streaming/reservoir.h"
 
 namespace fastcoreset {
 namespace {
@@ -154,78 +153,6 @@ TEST(Afkmc2Test, DuplicateHeavyInputDoesNotLoop) {
   const Clustering result = Afkmc2(points, {}, 5, options, rng);
   EXPECT_GE(result.centers.rows(), 1u);
   EXPECT_NEAR(result.total_cost, 0.0, 1e-9);
-}
-
-TEST(ReservoirTest, HoldsAtMostCapacity) {
-  Rng rng(11);
-  WeightedReservoir reservoir(50, 3, &rng);
-  Matrix batch(500, 3);
-  for (double& x : batch.data()) x = rng.NextGaussian();
-  reservoir.OfferAll(batch);
-  EXPECT_EQ(reservoir.size(), 50u);
-  EXPECT_NEAR(reservoir.StreamWeight(), 500.0, 1e-9);
-  const Coreset coreset = reservoir.Extract();
-  EXPECT_EQ(coreset.size(), 50u);
-  EXPECT_NEAR(coreset.TotalWeight(), 500.0, 1e-6);
-}
-
-TEST(ReservoirTest, UnweightedInclusionIsUniform) {
-  // Every stream position should appear with probability m/n.
-  const size_t n = 2000, m = 100;
-  std::vector<int> appearances(n, 0);
-  const int trials = 300;
-  for (int t = 0; t < trials; ++t) {
-    Rng rng(500 + t);
-    WeightedReservoir reservoir(m, 1, &rng);
-    Matrix stream(n, 1);
-    for (size_t i = 0; i < n; ++i) stream.At(i, 0) = static_cast<double>(i);
-    reservoir.OfferAll(stream);
-    const Coreset coreset = reservoir.Extract();
-    for (size_t idx : coreset.indices) ++appearances[idx];
-  }
-  // Expected appearances = trials * m / n = 15. Check first/middle/last
-  // deciles are all close (no positional bias).
-  auto decile_mean = [&](size_t begin) {
-    double sum = 0.0;
-    for (size_t i = begin; i < begin + n / 10; ++i) sum += appearances[i];
-    return sum / (n / 10.0);
-  };
-  const double expected = trials * static_cast<double>(m) / n;
-  EXPECT_NEAR(decile_mean(0), expected, 0.15 * expected);
-  EXPECT_NEAR(decile_mean(n / 2), expected, 0.15 * expected);
-  EXPECT_NEAR(decile_mean(n - n / 10), expected, 0.15 * expected);
-}
-
-TEST(ReservoirTest, HeavyWeightAlmostAlwaysKept) {
-  int kept = 0;
-  const int trials = 200;
-  for (int t = 0; t < trials; ++t) {
-    Rng rng(900 + t);
-    WeightedReservoir reservoir(10, 1, &rng);
-    Matrix stream(500, 1);
-    std::vector<double> weights(500, 1.0);
-    stream.At(250, 0) = 42.0;
-    weights[250] = 1e5;  // One overwhelmingly heavy item mid-stream.
-    reservoir.OfferAll(stream, weights);
-    const Coreset coreset = reservoir.Extract();
-    for (size_t idx : coreset.indices) {
-      if (idx == 250) {
-        ++kept;
-        break;
-      }
-    }
-  }
-  EXPECT_GT(kept, 195);
-}
-
-TEST(ReservoirTest, ShortStreamKeepsEverything) {
-  Rng rng(12);
-  WeightedReservoir reservoir(100, 2, &rng);
-  Matrix stream(30, 2);
-  reservoir.OfferAll(stream);
-  EXPECT_EQ(reservoir.size(), 30u);
-  const Coreset coreset = reservoir.Extract();
-  EXPECT_NEAR(coreset.TotalWeight(), 30.0, 1e-9);
 }
 
 TEST(QualityReportTest, GoodCoresetPasses) {

@@ -12,7 +12,6 @@
 #include "src/clustering/fast_kmeans_plus_plus.h"
 #include "src/clustering/kmeans_plus_plus.h"
 #include "src/clustering/lloyd.h"
-#include "src/clustering/tree_assign.h"
 #include "src/common/fenwick_tree.h"
 #include "src/core/fast_coreset.h"
 #include "src/data/coreset_io.h"
@@ -175,9 +174,6 @@ TEST(ContractDeathTest, ChecksFireOnBadArguments) {
   EXPECT_DEATH({ Quadtree tree(points, rng, Quadtree::kMaxDepth + 1); },
                "FC_CHECK");
   EXPECT_DEATH({ Quadtree tree(points, rng, 0); }, "FC_CHECK");
-  EXPECT_DEATH(
-      { (void)TreeAssign(points, {}, points, 2, rng, /*max_depth=*/63); },
-      "FC_CHECK");
   // An assignment id at or past num_clusters would index past the
   // per-cluster arrays.
   std::vector<size_t> assignment(points.rows(), 0);

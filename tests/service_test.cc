@@ -731,7 +731,7 @@ TEST(JsonTest, HardenedAgainstHostileInput) {
       service::ParseJson("0." + std::string(5000, '1')).ok());
 
   // Raw invalid UTF-8 in strings is a parse error, never passed through.
-  for (const std::string bad : {
+  for (const std::string& bad : {
            std::string("\"\x80\""),          // stray continuation byte
            std::string("\"\xc3(\""),         // truncated 2-byte sequence
            std::string("\"\xc0\xaf\""),      // overlong '/'

@@ -233,7 +233,8 @@ TEST(StreamKmTest, StreamingViaMergeReduce) {
   Rng rng(16);
   const Matrix points = Blobs(5, 600, 3, rng);
   const Coreset coreset = StreamingCompress(
-      points, {}, MakeStreamKmBuilder(), /*block_size=*/512, /*m=*/200, rng);
+      points, {}, SpecBuilder("stream_km", 5), /*block_size=*/512, /*m=*/200,
+      rng);
   EXPECT_EQ(coreset.size(), 200u);
   EXPECT_NEAR(coreset.TotalWeight(), 3000.0, 1e-6);
   DistortionOptions options;

@@ -34,7 +34,9 @@ Rules (see RULES below for scope and details):
                            declared in tools/lint/layers.toml (--dot-out
                            emits the actual graph as graphviz)
   lock-order               fc::Mutex sites missing from (or disagreeing
-                           with) tools/lint/lock_hierarchy.toml, and
+                           with) tools/lint/lock_hierarchy.toml, whose
+                           ranks are the lock_rank constants of
+                           src/common/mutex.h, and
                            lexical acquisition patterns that take a
                            lower-rank lock while holding a higher one
   determinism-taint        thread-count/timer-derived values flowing into
@@ -45,12 +47,14 @@ Project passes
 --------------
 The last three rules are cross-file: they are parameterized by the two
 checked-in config files (tools/lint/layers.toml — the module DAG;
-tools/lint/lock_hierarchy.toml — integer ranks for every long-lived
-Mutex), and the layering pass accumulates the observed module include
-graph across the whole run (`--dot-out graph.dot` writes it; the run
-fails if the ACTUAL graph has a cycle, declared or not). Config errors
-(unparseable TOML, cyclic declared DAG, malformed lock entries) are
-findings like any other.
+tools/lint/lock_hierarchy.toml — every long-lived Mutex with its
+lock_rank constant, whose integer value is read from
+src/common/mutex.h, the one source of the ranks), and the layering pass
+accumulates the observed module include graph across the whole run
+(`--dot-out graph.dot` writes it; the run fails if the ACTUAL graph has
+a cycle, declared or not). Config errors (unparseable TOML, cyclic
+declared DAG, malformed lock entries, a constant mutex.h does not
+define) are findings like any other.
 
 Fixes
 -----
@@ -60,19 +64,11 @@ raw-mutex includes become `#include "src/common/mutex.h"` (first banned
 include rewritten, duplicates deleted; suppressed lines untouched). The
 rewrite is idempotent — the selftest asserts fix(fix(x)) == fix(x).
 
-Engines
--------
-Rule logic consumes a normalized token stream. Two producers exist:
-
-  * builtin — a self-contained C++ lexer (no dependencies). Authoritative:
-    the fixture corpus and CI gate run on it everywhere.
-  * clang   — libclang's lexer via the `clang.cindex` Python bindings,
-    feeding the same normalized stream (used where the bindings and
-    libclang are installed; `--engine auto` picks it up automatically).
-
-Comment/suppression parsing and #include extraction always use the builtin
-lexer so suppressions and the umbrella rule behave identically under both
-engines.
+Lexer
+-----
+Rule logic consumes the token stream of a self-contained C++ lexer (no
+dependencies), which also extracts comments, suppressions and #include
+lines.
 
 Baseline
 --------
@@ -115,8 +111,7 @@ class Token:
     line: int
 
 
-# Maximal-munch puncts, longest first, mirroring clang's lexer so both
-# engines produce the same stream.
+# Maximal-munch puncts, longest first, mirroring clang's lexer.
 _PUNCTS = [
     "<<=", ">>=", "...", "->*", "::", "->", "<<", ">>", "<=", ">=", "==",
     "!=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
@@ -224,52 +219,6 @@ def lex_builtin(text: str) -> LexResult:
             tokens.append(Token("punct", c, line))
             i += 1
     return LexResult(tokens, comments, "".join(stripped))
-
-
-def lex_clang(path: str, text: str) -> List[Token]:
-    """libclang tokenizer -> the same normalized stream as lex_builtin.
-
-    Only the token stream comes from libclang; comments, suppressions and
-    include extraction stay on the builtin lexer (see module docstring).
-    """
-    import clang.cindex as cindex  # noqa: deferred, availability-gated
-
-    tu = cindex.TranslationUnit.from_source(
-        path,
-        args=["-std=c++20", "-fsyntax-only"],
-        unsaved_files=[(path, text)],
-        options=cindex.TranslationUnit.PARSE_DETAILED_PREPROCESSING_RECORD,
-    )
-    out: List[Token] = []
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        kind = tok.kind.name  # PUNCTUATION, KEYWORD, IDENTIFIER, LITERAL,
-        # COMMENT
-        spelling = tok.spelling
-        line = tok.location.line
-        if kind == "COMMENT":
-            continue
-        if kind in ("KEYWORD", "IDENTIFIER"):
-            out.append(Token("id", spelling, line))
-        elif kind == "LITERAL":
-            if spelling.startswith(('"', 'R"', 'u"', 'U"', 'L"', 'u8"')):
-                out.append(Token("str", spelling, line))
-            elif spelling.startswith("'"):
-                out.append(Token("chr", spelling, line))
-            else:
-                out.append(Token("num", spelling, line))
-        else:
-            out.append(Token("punct", spelling, line))
-    return out
-
-
-def clang_available() -> bool:
-    try:
-        import clang.cindex as cindex
-
-        cindex.Config().get_cindex_library()
-        return True
-    except Exception:
-        return False
 
 
 # --------------------------------------------------------------------------
@@ -1124,11 +1073,34 @@ class LockHierarchy:
         return None
 
 
-_LOCK_REQUIRED_KEYS = ("name", "rank", "constant", "member", "files")
+_LOCK_REQUIRED_KEYS = ("name", "constant", "member", "files")
+
+# Where the lock ranks live: the runtime checker's lock_rank constants.
+RANKS_HEADER = "src/common/mutex.h"
 
 
-def load_lock_hierarchy(path: str, display: str) -> LockHierarchy:
+def load_lock_ranks(path: str) -> Dict[str, int]:
+    """`lock_rank::<constant>` -> value, parsed from mutex.h's
+    `namespace lock_rank { ... }` block."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    block = re.search(r"namespace\s+lock_rank\s*\{(.*?)\}\s*//\s*namespace",
+                      text, re.S)
+    if block is None:
+        return {}
+    return {m.group(1): int(m.group(2)) for m in re.finditer(
+        r"constexpr\s+int\s+(\w+)\s*=\s*(-?\d+)\s*;", block.group(1))}
+
+
+def load_lock_hierarchy(path: str, display: str,
+                        ranks_path: str) -> LockHierarchy:
     hier = LockHierarchy(display)
+    try:
+        ranks = load_lock_ranks(ranks_path)
+    except OSError as e:
+        hier.findings.append(Finding(display, 1, "lock-order",
+                                     f"cannot read lock ranks: {e}"))
+        return hier
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = parse_mini_toml(f.read())
@@ -1156,9 +1128,22 @@ def load_lock_hierarchy(path: str, display: str) -> LockHierarchy:
                 display, line, "lock-order",
                 f"[[lock]] entry is missing {', '.join(missing)}"))
             continue
-        name, rank = tbl["name"], tbl["rank"]
-        constant, member, files = tbl["constant"], tbl["member"], tbl["files"]
-        if not isinstance(rank, int) or rank <= 0:
+        name, constant = tbl["name"], tbl["constant"]
+        member, files = tbl["member"], tbl["files"]
+        if "rank" in tbl:
+            hier.findings.append(Finding(
+                display, line, "lock-order",
+                f"[[lock]] '{name}' sets `rank`; ranks come only from "
+                f"lock_rank::{constant} in {RANKS_HEADER}"))
+            continue
+        rank = ranks.get(str(constant))
+        if rank is None:
+            hier.findings.append(Finding(
+                display, line, "lock-order",
+                f"[[lock]] '{name}' names lock_rank::{constant}, which "
+                f"{RANKS_HEADER} does not define"))
+            continue
+        if rank <= 0:
             hier.findings.append(Finding(
                 display, line, "lock-order",
                 f"[[lock]] '{name}' rank must be a positive integer "
@@ -1202,14 +1187,15 @@ class ProjectContext:
         return list(self.layers.findings) + list(self.locks.findings)
 
 
-def make_context(layers_path: str, locks_path: str,
+def make_context(layers_path: str, locks_path: str, ranks_path: str,
                  layers_display: Optional[str] = None,
                  locks_display: Optional[str] = None) -> ProjectContext:
     return ProjectContext(
         load_layer_config(layers_path,
                           layers_display or layers_path.replace(os.sep, "/")),
         load_lock_hierarchy(locks_path,
-                            locks_display or locks_path.replace(os.sep, "/")))
+                            locks_display or locks_path.replace(os.sep, "/"),
+                            ranks_path))
 
 
 def _module_of(path: str) -> Optional[str]:
@@ -1946,14 +1932,10 @@ def extract_includes(stripped: str) -> List[Tuple[int, str, bool]]:
 # --------------------------------------------------------------------------
 
 
-def lint_file(rel_path: str, text: str, engine: str,
-              abs_path: str, active_rules: Set[str],
+def lint_file(rel_path: str, text: str, active_rules: Set[str],
               ctx: Optional["ProjectContext"] = None) -> List[Finding]:
     lex = lex_builtin(text)
-    if engine == "clang":
-        tokens = lex_clang(abs_path, text)
-    else:
-        tokens = lex.tokens
+    tokens = lex.tokens
     includes = extract_includes(lex.stripped)
     sup = parse_suppressions(rel_path, lex, KNOWN_RULES)
 
@@ -2027,7 +2009,7 @@ def files_from_compile_commands(root: str, cc_path: str) -> List[str]:
     return sorted(set(out))
 
 
-def run_lint(root: str, files: Sequence[str], engine: str,
+def run_lint(root: str, files: Sequence[str],
              baseline: Dict[Tuple[str, str], int],
              active_rules: Set[str],
              ctx: Optional["ProjectContext"] = None,
@@ -2061,8 +2043,7 @@ def run_lint(root: str, files: Sequence[str], engine: str,
         except OSError as e:
             print(f"fc_lint: cannot read {rel}: {e}", file=sys.stderr)
             continue
-        for finding in lint_file(rel, text, engine, abs_path, active_rules,
-                                 ctx):
+        for finding in lint_file(rel, text, active_rules, ctx):
             classify(finding)
     return blocking, baselined
 
@@ -2072,7 +2053,7 @@ def run_lint(root: str, files: Sequence[str], engine: str,
 # --------------------------------------------------------------------------
 
 
-def run_selftest(engine: str) -> int:
+def run_selftest() -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     fixture_dir = os.path.join(here, "fixtures")
     manifest_path = os.path.join(fixture_dir, "manifest.json")
@@ -2097,9 +2078,10 @@ def run_selftest(engine: str) -> int:
             else os.path.join(here, "layers.toml"),
             os.path.join(fixture_dir, locks_file) if locks_file
             else os.path.join(here, "lock_hierarchy.toml"),
+            os.path.join(here, "..", "..", RANKS_HEADER),
             layers_display=layers_file or "tools/lint/layers.toml",
             locks_display=locks_file or "tools/lint/lock_hierarchy.toml")
-        got = lint_file(virtual, text, engine, fixture, KNOWN_RULES, ctx)
+        got = lint_file(virtual, text, KNOWN_RULES, ctx)
         got += [f for f in ctx.config_findings()]
         got_set = sorted((f.rule, f.line) for f in got)
         want_set = sorted((e["rule"], e["line"]) for e in case["expect"])
@@ -2159,8 +2141,7 @@ def run_selftest(engine: str) -> int:
         print(f"fc_lint selftest: {failures} failure(s)")
         return 1
     print(f"fc_lint selftest: all {len(manifest['cases'])} fixtures and "
-          f"{len(manifest.get('fix_cases', []))} fix case(s) pass "
-          f"({engine} engine)")
+          f"{len(manifest.get('fix_cases', []))} fix case(s) pass")
     return 0
 
 
@@ -2179,10 +2160,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--root", default=None,
                         help="repository root (default: two levels up from "
                              "this script)")
-    parser.add_argument("--engine", choices=["auto", "builtin", "clang"],
-                        default="auto",
-                        help="token engine; auto uses libclang when the "
-                             "python bindings are importable")
     parser.add_argument("--compile-commands", default=None,
                         help="compile_commands.json; lints the TUs it lists "
                              "(headers still come from the roots)")
@@ -2218,16 +2195,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "rationale, or naming an unknown rule.")
         return 0
 
-    engine = args.engine
-    if engine == "auto":
-        engine = "clang" if clang_available() else "builtin"
-    elif engine == "clang" and not clang_available():
-        print("fc_lint: --engine clang requested but the libclang python "
-              "bindings are not available", file=sys.stderr)
-        return 2
-
     if args.selftest:
-        return run_selftest(engine)
+        return run_selftest()
 
     root = args.root
     if root is None:
@@ -2282,11 +2251,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return p.replace(os.sep, "/") if rel.startswith("..") else rel
 
     ctx = make_context(layers_path, locks_path,
+                       os.path.join(root, RANKS_HEADER),
                        _display(layers_path), _display(locks_path))
 
     baseline = load_baseline(args.baseline)
-    blocking, baselined = run_lint(root, files, engine, baseline,
-                                   active_rules, ctx)
+    blocking, baselined = run_lint(root, files, baseline, active_rules,
+                                   ctx)
 
     cycles: List[List[str]] = []
     if args.dot_out:
@@ -2306,7 +2276,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for f in blocking:
         print(f.render())
     stale = sum(c for c in baseline.values()) - len(baselined)
-    summary = (f"fc_lint ({engine} engine): {len(files)} files, "
+    summary = (f"fc_lint: {len(files)} files, "
                f"{len(blocking)} finding(s), {len(baselined)} baselined")
     if baseline and stale > 0:
         summary += f", {stale} stale baseline entr(y/ies) — burn them down"
