@@ -72,7 +72,7 @@ int main() {
       k, runs, 31000);
 
   api::FastOptions no_rejection = base;
-  no_rejection.seeding_rejection_sampling = false;
+  no_rejection.seeding.rejection_sampling = false;
   Row(&table, "no rejection sampling", gaussian,
       FastSpec(k, 40 * k, no_rejection), k, runs, 31001);
 
@@ -87,12 +87,12 @@ int main() {
       FastSpec(k, 40 * k, corrected), k, runs, 31003);
 
   api::FastOptions shallow = base;
-  shallow.seeding_max_depth = 8;
+  shallow.seeding.max_depth = 8;
   Row(&table, "quadtree depth cap 8", gaussian, FastSpec(k, 40 * k, shallow),
       k, runs, 31004);
 
   api::FastOptions deep = base;
-  deep.seeding_max_depth = 40;
+  deep.seeding.max_depth = 40;
   Row(&table, "quadtree depth cap 40", gaussian, FastSpec(k, 40 * k, deep), k,
       runs, 31005);
 

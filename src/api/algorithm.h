@@ -1,8 +1,8 @@
-// CoresetAlgorithm: the polymorphic interface every compression method on
-// the spectrum implements — one-shot samplers and streaming builders
-// alike — and the fixed method table that names them. The table (in
-// src/api/algorithms.cc) is the one place that says which methods exist,
-// their aliases, and which MethodOptions alternative each one takes.
+// CoresetAlgorithm: one row of the method table. A row is a compression
+// method on the spectrum — one-shot sampler or streaming builder alike —
+// given as its name, alias, default options and the functions that
+// validate and build it. The table (in src/api/algorithms.cc) is the one
+// place that says which methods exist.
 
 #ifndef FASTCORESET_API_ALGORITHM_H_
 #define FASTCORESET_API_ALGORITHM_H_
@@ -20,43 +20,41 @@
 namespace fastcoreset {
 namespace api {
 
-/// A compression method. Implementations are stateless (all per-build
-/// state flows through the arguments), so the one table instance per
-/// method serves every caller concurrently.
-class CoresetAlgorithm {
- public:
-  virtual ~CoresetAlgorithm() = default;
+/// Builds a coreset of (points, weights) targeting `m` rows, consuming
+/// randomness from `rng`. `m` is passed separately from the spec so
+/// streaming composition can override it per reduce call. The spec has
+/// already passed Validate() and the row's validate_spec, and `weights` is
+/// empty or n-sized; a build must not FC_CHECK on spec-reachable state.
+/// `diag` may be nullptr; when set, the build records effective
+/// parameters (j_effective) and internal stage timings.
+using BuildFn = Coreset (*)(const CoresetSpec& spec, const Matrix& points,
+                            const std::vector<double>& weights, size_t m,
+                            Rng& rng, BuildDiagnostics* diag);
 
-  /// Canonical name from the method table ("fast_coreset", ...).
-  std::string_view Name() const;
+/// Method-specific spec checks on top of CoresetSpec::Validate() and the
+/// options-alternative check (bico needs z == 2).
+using SpecCheckFn = FcStatus (*)(const CoresetSpec& spec);
 
-  /// The method's options alternative with every knob at its default;
+/// Method-specific *input* checks on top of the facade's common pass
+/// (shape match, finite non-negative weights, positive total). They run
+/// before the build so inputs the method cannot digest are reported, not
+/// aborted on — e.g. bico rejects individual zero weights.
+using InputCheckFn = FcStatus (*)(const Matrix& points,
+                                  const std::vector<double>& weights);
+
+/// A compression method: one constant row of the method table. Rows hold
+/// no per-build state (it all flows through the arguments), so the one
+/// row per method serves every caller concurrently.
+struct CoresetAlgorithm {
+  std::string_view name;   ///< Canonical name ("fast_coreset", ...).
+  std::string_view alias;  ///< Empty when the method has none.
+  /// The options alternative with every knob at its default;
   /// std::monostate for methods without knobs. A spec for this method may
   /// hold std::monostate or this alternative, nothing else.
-  const MethodOptions& DefaultOptions() const;
-
-  /// Method-specific spec checks on top of CoresetSpec::Validate() and the
-  /// options-alternative check (bico needs z == 2). The default accepts.
-  virtual FcStatus ValidateSpec(const CoresetSpec& spec) const;
-
-  /// Method-specific *input* checks on top of the facade's common pass
-  /// (shape match, finite non-negative weights, positive total). Runs
-  /// before Build() so inputs the method cannot digest are reported, not
-  /// aborted on — e.g. bico rejects individual zero weights. The default
-  /// accepts.
-  virtual FcStatus ValidateInput(const Matrix& points,
-                                 const std::vector<double>& weights) const;
-
-  /// Builds a coreset of (points, weights) targeting `m` rows, consuming
-  /// randomness from `rng`. `m` is passed separately from the spec so
-  /// streaming composition can override it per reduce call. The spec has
-  /// already passed Validate() + ValidateSpec() and `weights` is empty or
-  /// n-sized; implementations must not FC_CHECK on spec-reachable state.
-  /// `diag` may be nullptr; when set, implementations record effective
-  /// parameters (j_effective) and internal stage timings.
-  virtual Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                        const std::vector<double>& weights, size_t m,
-                        Rng& rng, BuildDiagnostics* diag) const = 0;
+  MethodOptions defaults;
+  BuildFn build = nullptr;
+  SpecCheckFn validate_spec = nullptr;    ///< nullptr accepts.
+  InputCheckFn validate_input = nullptr;  ///< nullptr accepts.
 };
 
 /// Looks a method up in the method table by canonical name or alias
@@ -69,7 +67,7 @@ FcStatusOr<const CoresetAlgorithm*> FindMethod(std::string_view name);
 std::vector<std::string> MethodNames();
 
 /// The spec's options with every default resolved: std::monostate
-/// becomes the method's DefaultOptions(), welterweight j = 0 becomes
+/// becomes the method's row defaults, welterweight j = 0 becomes
 /// DefaultWelterweightJ(k), and bico max_features = 0 becomes `m`, the
 /// coreset size the build targets (spec.EffectiveM() for a one-shot
 /// build). Specs whose resolved options and common fields agree describe

@@ -1,12 +1,13 @@
 // The method table: the paper's five compression methods (uniform ->
 // lightweight -> welterweight -> sensitivity -> fast_coreset), the
-// group-sampling extension, and the streaming builders (bico, stream_km),
-// with their aliases and default options. Each adapter maps the facade's
-// CoresetSpec onto the method's internal entry point — calling it exactly
-// once with the given rng, so a facade build is bit-identical to the
-// legacy free-function path at the same seed (pinned by tests/api_test.cc).
+// group-sampling extension, and the streaming builders (bico, stream_km).
+// Each row names a method, its alias and default options, and the free
+// functions that validate and build it. A Build* function passes the
+// spec's resolved options straight to the method's entry point, calling
+// it exactly once with the given rng, so a facade build is bit-identical
+// to the direct call at the same seed (pinned by tests/api_test.cc).
 
-#include <utility>
+#include <string>
 
 #include "src/api/algorithm.h"
 #include "src/common/timer.h"
@@ -35,203 +36,136 @@ void RecordStage(BuildDiagnostics* diag, const char* name, double seconds) {
   if (diag != nullptr) diag->stages.push_back({name, seconds});
 }
 
-class UniformAlgorithm : public CoresetAlgorithm {
- public:
-  Coreset Build(const CoresetSpec&, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    Timer timer;
-    Coreset coreset = UniformSamplingCoreset(points, weights, m, rng);
-    RecordStage(diag, "sample", timer.Seconds());
-    return coreset;
-  }
-};
+Coreset BuildUniform(const CoresetSpec&, const Matrix& points,
+                     const std::vector<double>& weights, size_t m, Rng& rng,
+                     BuildDiagnostics* diag) {
+  Timer timer;
+  Coreset coreset = UniformSamplingCoreset(points, weights, m, rng);
+  RecordStage(diag, "sample", timer.Seconds());
+  return coreset;
+}
 
-class LightweightAlgorithm : public CoresetAlgorithm {
- public:
-  Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    if (diag != nullptr) diag->j_effective = 1;  // 1-means candidate.
-    Timer timer;
-    Coreset coreset = LightweightCoreset(points, weights, m, spec.z, rng);
-    RecordStage(diag, "sample", timer.Seconds());
-    return coreset;
-  }
-};
+Coreset BuildLightweight(const CoresetSpec& spec, const Matrix& points,
+                         const std::vector<double>& weights, size_t m,
+                         Rng& rng, BuildDiagnostics* diag) {
+  if (diag != nullptr) diag->j_effective = 1;  // 1-means candidate.
+  Timer timer;
+  Coreset coreset = LightweightCoreset(points, weights, m, spec.z, rng);
+  RecordStage(diag, "sample", timer.Seconds());
+  return coreset;
+}
 
-class WelterweightAlgorithm : public CoresetAlgorithm {
- public:
-  Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    const auto options = Resolved<WelterweightOptions>(spec, m);
-    if (diag != nullptr) diag->j_effective = options.j;
-    Timer timer;
-    Coreset coreset = WelterweightCoreset(points, weights, spec.k, options.j,
-                                          m, spec.z, rng);
-    RecordStage(diag, "seed_and_sample", timer.Seconds());
-    return coreset;
-  }
-};
+Coreset BuildWelterweight(const CoresetSpec& spec, const Matrix& points,
+                          const std::vector<double>& weights, size_t m,
+                          Rng& rng, BuildDiagnostics* diag) {
+  const size_t j = Resolved<WelterweightOptions>(spec, m).j;
+  if (diag != nullptr) diag->j_effective = j;
+  Timer timer;
+  Coreset coreset =
+      WelterweightCoreset(points, weights, spec.k, j, m, spec.z, rng);
+  RecordStage(diag, "seed_and_sample", timer.Seconds());
+  return coreset;
+}
 
-class SensitivityAlgorithm : public CoresetAlgorithm {
- public:
-  Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    if (diag != nullptr) diag->j_effective = spec.k;  // Full k-center seed.
-    Timer timer;
-    Coreset coreset =
-        SensitivitySamplingCoreset(points, weights, spec.k, m, spec.z, rng);
-    RecordStage(diag, "seed_and_sample", timer.Seconds());
-    return coreset;
-  }
-};
+Coreset BuildSensitivity(const CoresetSpec& spec, const Matrix& points,
+                         const std::vector<double>& weights, size_t m,
+                         Rng& rng, BuildDiagnostics* diag) {
+  if (diag != nullptr) diag->j_effective = spec.k;  // Full k-center seed.
+  Timer timer;
+  Coreset coreset =
+      SensitivitySamplingCoreset(points, weights, spec.k, m, spec.z, rng);
+  RecordStage(diag, "seed_and_sample", timer.Seconds());
+  return coreset;
+}
 
-class FastCoresetAlgorithm : public CoresetAlgorithm {
- public:
-  Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    const auto options = Resolved<FastOptions>(spec, m);
-    FastCoresetOptions core;
-    core.k = spec.k;
-    core.m = m;
-    core.z = spec.z;
-    core.use_jl = options.use_jl;
-    core.jl_eps = options.jl_eps;
-    core.use_spread_reduction = options.use_spread_reduction;
-    core.center_correction = options.center_correction;
-    core.correction_eps = options.correction_eps;
-    core.seeder = options.seeder == FastSeeder::kTreeGreedy
-                      ? FastCoresetSeeder::kTreeGreedy
-                      : FastCoresetSeeder::kFastKMeansPlusPlus;
-    core.seeding.max_depth = options.seeding_max_depth;
-    core.seeding.full_depth_tree = options.seeding_full_depth_tree;
-    core.seeding.rejection_sampling = options.seeding_rejection_sampling;
-    core.seeding.max_rejections = options.seeding_max_rejections;
+Coreset BuildFastCoreset(const CoresetSpec& spec, const Matrix& points,
+                         const std::vector<double>& weights, size_t m,
+                         Rng& rng, BuildDiagnostics* diag) {
+  if (diag != nullptr) diag->j_effective = spec.k;  // Full k solution.
+  return FastCoreset(points, weights, spec.k, m, spec.z,
+                     Resolved<FastOptions>(spec, m), rng,
+                     diag == nullptr ? nullptr : &diag->stages);
+}
 
-    if (diag != nullptr) diag->j_effective = spec.k;  // Full k solution.
-    return FastCoreset(points, weights, core, rng,
-                       diag == nullptr ? nullptr : &diag->stages);
-  }
-};
+Coreset BuildGroupSampling(const CoresetSpec& spec, const Matrix& points,
+                           const std::vector<double>& weights, size_t m,
+                           Rng& rng, BuildDiagnostics* diag) {
+  if (diag != nullptr) diag->j_effective = spec.k;
+  Timer timer;
+  Coreset coreset =
+      GroupSamplingCoreset(points, weights, spec.k, m, spec.z,
+                           Resolved<GroupOptions>(spec, m), rng);
+  RecordStage(diag, "seed_and_sample", timer.Seconds());
+  return coreset;
+}
 
-class GroupSamplingAlgorithm : public CoresetAlgorithm {
- public:
-  Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    const auto options = Resolved<GroupOptions>(spec, m);
-    GroupSamplingOptions core;
-    core.k = spec.k;
-    core.m = m;
-    core.z = spec.z;
-    core.eps = options.eps;
-    if (diag != nullptr) diag->j_effective = spec.k;
-    Timer timer;
-    Coreset coreset = GroupSamplingCoreset(points, weights, core, rng);
-    RecordStage(diag, "seed_and_sample", timer.Seconds());
-    return coreset;
-  }
-};
+Coreset BuildBico(const CoresetSpec& spec, const Matrix& points,
+                  const std::vector<double>& weights, size_t m, Rng&,
+                  BuildDiagnostics* diag) {
+  Timer timer;
+  Bico bico(points.cols(), Resolved<BicoOptions>(spec, m));
+  bico.InsertAll(points, weights);
+  RecordStage(diag, "insert", timer.Seconds());
+  timer.Reset();
+  Coreset coreset = bico.ExtractCoreset();
+  RecordStage(diag, "extract", timer.Seconds());
+  return coreset;
+}
 
-class BicoAlgorithm : public CoresetAlgorithm {
- public:
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    if (spec.z != 2) {
+Coreset BuildStreamKm(const CoresetSpec&, const Matrix& points,
+                      const std::vector<double>& weights, size_t m, Rng& rng,
+                      BuildDiagnostics* diag) {
+  Timer timer;
+  Coreset coreset = StreamKmReduce(points, weights, m, rng);
+  RecordStage(diag, "reduce", timer.Seconds());
+  return coreset;
+}
+
+/// The streaming builders are k-means-only constructions.
+FcStatus RequireKMeans(const char* method, const CoresetSpec& spec) {
+  if (spec.z == 2) return FcStatus::Ok();
+  return FcStatus::InvalidArgument(std::string(method) +
+                                   " supports z == 2 (k-means) only");
+}
+
+FcStatus ValidateBicoSpec(const CoresetSpec& spec) {
+  return RequireKMeans("bico", spec);
+}
+
+FcStatus ValidateStreamKmSpec(const CoresetSpec& spec) {
+  return RequireKMeans("stream_km", spec);
+}
+
+FcStatus ValidateBicoInput(const Matrix&, const std::vector<double>& weights) {
+  // A clustering feature cannot absorb a massless point (the CF tree
+  // aborts on weight == 0); the other samplers just never draw it.
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] == 0.0) {
       return FcStatus::InvalidArgument(
-          "bico supports z == 2 (k-means) only");
+          "bico requires strictly positive weights (weights[" +
+          std::to_string(i) + "] is 0)");
     }
-    return FcStatus::Ok();
   }
+  return FcStatus::Ok();
+}
 
-  FcStatus ValidateInput(
-      const Matrix&, const std::vector<double>& weights) const override {
-    // A clustering feature cannot absorb a massless point (the CF tree
-    // aborts on weight == 0); the other samplers just never draw it.
-    for (size_t i = 0; i < weights.size(); ++i) {
-      if (weights[i] == 0.0) {
-        return FcStatus::InvalidArgument(
-            "bico requires strictly positive weights (weights[" +
-            std::to_string(i) + "] is 0)");
-      }
-    }
-    return FcStatus::Ok();
-  }
-
-  Coreset Build(const CoresetSpec& spec, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng&,
-                BuildDiagnostics* diag) const override {
-    const auto options = Resolved<api::BicoOptions>(spec, m);
-    fastcoreset::BicoOptions core;
-    core.max_features = options.max_features;
-    core.initial_threshold = options.initial_threshold;
-    core.max_depth = options.max_depth;
-    Timer timer;
-    Bico bico(points.cols(), core);
-    bico.InsertAll(points, weights);
-    RecordStage(diag, "insert", timer.Seconds());
-    timer.Reset();
-    Coreset coreset = bico.ExtractCoreset();
-    RecordStage(diag, "extract", timer.Seconds());
-    return coreset;
-  }
+/// Sorted by name: MethodNames() and the not-found message list this
+/// order. constinit because FindMethod may run from any other translation
+/// unit's static initializers.
+constinit const CoresetAlgorithm kMethods[] = {
+    {"bico", "", BicoOptions{}, BuildBico, ValidateBicoSpec,
+     ValidateBicoInput},
+    {"fast_coreset", "fast", FastOptions{}, BuildFastCoreset},
+    {"group_sampling", "group", GroupOptions{}, BuildGroupSampling},
+    {"lightweight", "", {}, BuildLightweight},
+    {"sensitivity", "", {}, BuildSensitivity},
+    {"stream_km", "streamkm", {}, BuildStreamKm, ValidateStreamKmSpec},
+    {"uniform", "", {}, BuildUniform},
+    {"welterweight", "", WelterweightOptions{}, BuildWelterweight},
 };
 
-class StreamKmAlgorithm : public CoresetAlgorithm {
- public:
-  FcStatus ValidateSpec(const CoresetSpec& spec) const override {
-    if (spec.z != 2) {
-      return FcStatus::InvalidArgument(
-          "stream_km supports z == 2 (k-means) only");
-    }
-    return FcStatus::Ok();
-  }
-
-  Coreset Build(const CoresetSpec&, const Matrix& points,
-                const std::vector<double>& weights, size_t m, Rng& rng,
-                BuildDiagnostics* diag) const override {
-    Timer timer;
-    Coreset coreset = StreamKmReduce(points, weights, m, rng);
-    RecordStage(diag, "reduce", timer.Seconds());
-    return coreset;
-  }
-};
-
-// Stateless singletons; constinit because FindMethod may run from any
-// other translation unit's static initializers.
-constinit const UniformAlgorithm kUniform;
-constinit const LightweightAlgorithm kLightweight;
-constinit const WelterweightAlgorithm kWelterweight;
-constinit const SensitivityAlgorithm kSensitivity;
-constinit const FastCoresetAlgorithm kFastCoreset;
-constinit const GroupSamplingAlgorithm kGroupSampling;
-constinit const BicoAlgorithm kBico;
-constinit const StreamKmAlgorithm kStreamKm;
-
-struct Method {
-  std::string_view name;
-  std::string_view alias;  ///< Empty when the method has none.
-  const CoresetAlgorithm* algorithm;
-  MethodOptions defaults;  ///< std::monostate: the method has no knobs.
-};
-
-/// Sorted by name: MethodNames() and the not-found message list this order.
-constinit const Method kMethods[] = {
-    {"bico", "", &kBico, api::BicoOptions{}},
-    {"fast_coreset", "fast", &kFastCoreset, FastOptions{}},
-    {"group_sampling", "group", &kGroupSampling, GroupOptions{}},
-    {"lightweight", "", &kLightweight, {}},
-    {"sensitivity", "", &kSensitivity, {}},
-    {"stream_km", "streamkm", &kStreamKm, {}},
-    {"uniform", "", &kUniform, {}},
-    {"welterweight", "", &kWelterweight, WelterweightOptions{}},
-};
-
-const Method* FindRow(std::string_view name) {
-  for (const Method& method : kMethods) {
+const CoresetAlgorithm* FindRow(std::string_view name) {
+  for (const CoresetAlgorithm& method : kMethods) {
     if (name == method.name ||
         (!method.alias.empty() && name == method.alias)) {
       return &method;
@@ -240,39 +174,14 @@ const Method* FindRow(std::string_view name) {
   return nullptr;
 }
 
-/// The table row holding `algorithm`; an empty row (no name, no knobs)
-/// for a subclass defined outside the table.
-const Method& RowOf(const CoresetAlgorithm* algorithm) {
-  static constexpr Method kUnlisted{};
-  for (const Method& method : kMethods) {
-    if (method.algorithm == algorithm) return method;
-  }
-  return kUnlisted;
-}
-
 }  // namespace
 
-std::string_view CoresetAlgorithm::Name() const { return RowOf(this).name; }
-
-const MethodOptions& CoresetAlgorithm::DefaultOptions() const {
-  return RowOf(this).defaults;
-}
-
-FcStatus CoresetAlgorithm::ValidateSpec(const CoresetSpec& /*spec*/) const {
-  return FcStatus::Ok();
-}
-
-FcStatus CoresetAlgorithm::ValidateInput(
-    const Matrix& /*points*/, const std::vector<double>& /*weights*/) const {
-  return FcStatus::Ok();
-}
-
 FcStatusOr<const CoresetAlgorithm*> FindMethod(std::string_view name) {
-  if (const Method* method = FindRow(name)) {
-    return FcStatusOr<const CoresetAlgorithm*>(method->algorithm);
+  if (const CoresetAlgorithm* method = FindRow(name)) {
+    return FcStatusOr<const CoresetAlgorithm*>(method);
   }
   std::string known;
-  for (const Method& method : kMethods) {
+  for (const CoresetAlgorithm& method : kMethods) {
     if (!known.empty()) known += ", ";
     known += method.name;
   }
@@ -282,14 +191,16 @@ FcStatusOr<const CoresetAlgorithm*> FindMethod(std::string_view name) {
 
 std::vector<std::string> MethodNames() {
   std::vector<std::string> names;
-  for (const Method& method : kMethods) names.emplace_back(method.name);
+  for (const CoresetAlgorithm& method : kMethods) {
+    names.emplace_back(method.name);
+  }
   return names;
 }
 
 MethodOptions ResolvedOptions(const CoresetSpec& spec, size_t m) {
   MethodOptions options = spec.options;
   if (std::holds_alternative<std::monostate>(options)) {
-    if (const Method* method = FindRow(spec.method)) {
+    if (const CoresetAlgorithm* method = FindRow(spec.method)) {
       options = method->defaults;
     }
   }

@@ -26,17 +26,20 @@ FcStatusOr<const CoresetAlgorithm*> ResolveAndValidate(
   FcStatusOr<const CoresetAlgorithm*> algo = FindMethod(spec.method);
   if (!algo.ok()) return algo.status();
   if (!std::holds_alternative<std::monostate>(spec.options) &&
-      spec.options.index() != algo.value()->DefaultOptions().index()) {
+      spec.options.index() != algo.value()->defaults.index()) {
     return FcStatus::InvalidArgument("method '" + spec.method +
                                      "' got another method's sub-options");
   }
-  status = algo.value()->ValidateSpec(spec);
-  if (!status.ok()) return status;
+  if (algo.value()->validate_spec != nullptr) {
+    status = algo.value()->validate_spec(spec);
+    if (!status.ok()) return status;
+  }
   return algo;
 }
 
-/// n-dependent request checks shared by every build path.
-FcStatus ValidateInput(const Matrix& points,
+/// n-dependent request checks shared by every build path, then the
+/// method's own.
+FcStatus ValidateInput(const CoresetAlgorithm& algo, const Matrix& points,
                        const std::vector<double>& weights) {
   if (points.rows() == 0) {
     return FcStatus::InvalidArgument("input has no points");
@@ -62,11 +65,14 @@ FcStatus ValidateInput(const Matrix& points,
     // Every sampler needs positive total mass to draw from.
     return FcStatus::InvalidArgument("weights sum to zero");
   }
+  if (algo.validate_input != nullptr) {
+    return algo.validate_input(points, weights);
+  }
   return FcStatus::Ok();
 }
 
 /// The streaming CoresetBuilder closure over a resolved algorithm. The
-/// table instance outlives every closure (process-lived). The
+/// table row outlives every closure (process-lived). The
 /// CoresetBuilder signature has no status channel, so per-call inputs
 /// the method cannot digest are a caller contract violation — checked
 /// here with the facade's own diagnostics so the failure names the real
@@ -77,13 +83,12 @@ CoresetBuilder BuilderFor(const CoresetAlgorithm* algorithm,
       [algorithm, spec](const Matrix& points,
                         const std::vector<double>& weights, size_t m,
                         Rng& rng) {
-        FcStatus status = ValidateInput(points, weights);
-        if (status.ok()) status = algorithm->ValidateInput(points, weights);
+        const FcStatus status = ValidateInput(*algorithm, points, weights);
         // fc-lint: allow(no-abort-in-service): the raw CoresetBuilder
         // callable documents a pre-validated-input contract; the
         // status-returning path is api::Build, which validates first.
         FC_CHECK_MSG(status.ok(), status.ToString().c_str());
-        return algorithm->Build(spec, points, weights, m, rng,
+        return algorithm->build(spec, points, weights, m, rng,
                                 /*diag=*/nullptr);
       });
 }
@@ -93,7 +98,7 @@ BuildDiagnostics StartDiagnostics(const CoresetAlgorithm& algo,
                                   const CoresetSpec& spec,
                                   const Matrix& points, size_t m) {
   BuildDiagnostics diag;
-  diag.method = std::string(algo.Name());
+  diag.method = std::string(algo.name);
   diag.seed = spec.seed;
   diag.input_rows = points.rows();
   diag.input_dims = points.cols();
@@ -130,9 +135,8 @@ FcStatusOr<BuildResult> Build(const CoresetSpec& spec, const Matrix& points,
   }
   const std::vector<double>& effective_weights =
       weights.empty() ? spec.weights : weights;
-  FcStatus status = ValidateInput(points, effective_weights);
-  if (!status.ok()) return status;
-  status = algo.value()->ValidateInput(points, effective_weights);
+  const FcStatus status =
+      ValidateInput(*algo.value(), points, effective_weights);
   if (!status.ok()) return status;
 
   const size_t m = spec.EffectiveM();
@@ -140,7 +144,7 @@ FcStatusOr<BuildResult> Build(const CoresetSpec& spec, const Matrix& points,
   diag.external_rng = true;
   Timer timer;
   Coreset coreset =
-      algo.value()->Build(spec, points, effective_weights, m, rng, &diag);
+      algo.value()->build(spec, points, effective_weights, m, rng, &diag);
   FinishDiagnostics(coreset, timer.Seconds(), &diag);
   return BuildResult{std::move(coreset), std::move(diag)};
 }
@@ -176,7 +180,7 @@ FcStatusOr<BuildResult> BuildStreaming(const CoresetSpec& spec,
         "spec.weights is not supported for streaming builds (push "
         "weighted batches through StreamingCompressor directly)");
   }
-  FcStatus status = ValidateInput(points, /*weights=*/{});
+  const FcStatus status = ValidateInput(*algo.value(), points, /*weights=*/{});
   if (!status.ok()) return status;
 
   const size_t m = spec.EffectiveM();

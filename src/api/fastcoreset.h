@@ -50,8 +50,8 @@ namespace fastcoreset {
 namespace api {
 
 /// Full request validation: spec.Validate(), method-table lookup, the
-/// options alternative against the method's DefaultOptions(), and the
-/// method's own ValidateSpec(). Build()/MakeBuilder() run this for you;
+/// options alternative against the method's row defaults, and the row's
+/// own validate_spec. Build()/MakeBuilder() run this for you;
 /// call it directly to vet a request before accepting it (e.g. at a
 /// service boundary).
 FcStatus ValidateSpec(const CoresetSpec& spec);

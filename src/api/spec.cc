@@ -30,13 +30,12 @@ struct OptionsValidator {
       return FcStatus::InvalidArgument(
           "fast_coreset correction_eps must be > 0");
     }
-    if (o.seeding_max_depth < 1 ||
-        o.seeding_max_depth > Quadtree::kMaxDepth) {
+    if (o.seeding.max_depth < 1 || o.seeding.max_depth > Quadtree::kMaxDepth) {
       return FcStatus::InvalidArgument(
           "fast_coreset seeding_max_depth must be in [1, " +
           std::to_string(Quadtree::kMaxDepth) + "]");
     }
-    if (o.seeding_max_rejections < 0) {
+    if (o.seeding.max_rejections < 0) {
       return FcStatus::InvalidArgument(
           "fast_coreset seeding_max_rejections must be >= 0");
     }

@@ -7,12 +7,11 @@
 // whole before any O(nd) work starts, returning FcStatus instead of
 // FC_CHECK-aborting on inconsistent requests.
 //
-// The spec deliberately does not include the core per-method option
-// structs (FastCoresetOptions etc.): the facade owns its own stable
-// surface and maps it onto the internals, so internal option churn never
-// leaks into serialized specs. Each sub-options struct names its knobs
-// once, in a static Fields() list of (wire name, member) pairs; the
-// request reader and the cache key are generic over that list.
+// The per-method knob structs are the core ones (FastCoresetOptions,
+// GroupSamplingOptions, BicoOptions), under one-line facade aliases. Each
+// names its knobs once, in a static Fields() list of (wire name, member)
+// pairs that owns the wire names; the request reader and the cache key
+// are generic over that list.
 
 #ifndef FASTCORESET_API_SPEC_H_
 #define FASTCORESET_API_SPEC_H_
@@ -23,16 +22,15 @@
 #include <vector>
 
 #include "src/api/status.h"
+#include "src/core/fast_coreset.h"
+#include "src/core/group_sampling.h"
+#include "src/streaming/bico.h"
 
 namespace fastcoreset {
 namespace api {
 
-// Every struct below lists its knobs once, in Fields(self, f): one
-// f(wire_name, member) call per knob. The fc_serve protocol reader, its
-// unknown-key check, and the service cache key all walk that list.
-
 /// Sub-options for "welterweight": the interpolation knob of the paper's
-/// Section 5.2 spectrum.
+/// Section 5.2 spectrum. Fields() names the knob, as in the core structs.
 struct WelterweightOptions {
   /// Candidate-solution size, 1 <= j <= k. 0 picks the paper's default
   /// ceil(log2 k). j = 1 behaves like lightweight, j = k like full
@@ -43,68 +41,15 @@ struct WelterweightOptions {
   static void Fields(Self& self, F&& f) { f("j", self.j); }
 };
 
+/// Sub-options for "fast_coreset" (Algorithm 1); k/m/z come from the spec.
+using FastOptions = FastCoresetOptions;
 /// Seeding algorithm choices for "fast_coreset".
-enum class FastSeeder {
-  kFastKMeansPlusPlus,  ///< Quadtree D^z sampling (the paper's default).
-  kTreeGreedy,          ///< HST top-down greedy (Section 8.4 extension).
-};
-
-/// Wire names of the FastSeeder values, indexed by enumerator.
-inline constexpr const char* kFastSeederNames[] = {"fast_kmeans++",
-                                                   "tree_greedy"};
-
-/// Sub-options for "fast_coreset" (Algorithm 1). Mirrors the method-
-/// specific knobs of core FastCoresetOptions; k/m/z come from the spec.
-struct FastOptions {
-  bool use_jl = true;       ///< JL-project before seeding.
-  double jl_eps = 0.7;      ///< JL target-dimension accuracy.
-  bool use_spread_reduction = false;  ///< Crude-Approx + Reduce-Spread.
-  bool center_correction = false;     ///< Algorithm 1 lines 7-8 weights.
-  double correction_eps = 0.1;
-  FastSeeder seeder = FastSeeder::kFastKMeansPlusPlus;
-  int seeding_max_depth = 60;  ///< Quadtree depth cap, in [1, 62].
-  bool seeding_full_depth_tree = false;
-  bool seeding_rejection_sampling = true;
-  int seeding_max_rejections = 512;
-
-  template <typename Self, typename F>
-  static void Fields(Self& self, F&& f) {
-    f("use_jl", self.use_jl);
-    f("jl_eps", self.jl_eps);
-    f("use_spread_reduction", self.use_spread_reduction);
-    f("center_correction", self.center_correction);
-    f("correction_eps", self.correction_eps);
-    f("seeding_max_depth", self.seeding_max_depth);
-    f("seeding_full_depth_tree", self.seeding_full_depth_tree);
-    f("seeding_rejection_sampling", self.seeding_rejection_sampling);
-    f("seeding_max_rejections", self.seeding_max_rejections);
-    f("seeder", self.seeder);
-  }
-};
-
+using FastSeeder = FastCoresetSeeder;
 /// Sub-options for "group_sampling" (STOC'21 extension).
-struct GroupOptions {
-  double eps = 0.5;  ///< Ring-threshold parameter.
-
-  template <typename Self, typename F>
-  static void Fields(Self& self, F&& f) { f("eps", self.eps); }
-};
-
-/// Sub-options for the streaming "bico" builder (z = 2 only).
-struct BicoOptions {
-  /// Clustering-feature budget before a rebuild; 0 uses the effective
-  /// coreset size m.
-  size_t max_features = 0;
-  double initial_threshold = 0.0;  ///< 0 derives it from the first points.
-  int max_depth = 16;              ///< CF-tree depth cap.
-
-  template <typename Self, typename F>
-  static void Fields(Self& self, F&& f) {
-    f("max_features", self.max_features);
-    f("initial_threshold", self.initial_threshold);
-    f("max_depth", self.max_depth);
-  }
-};
+using GroupOptions = GroupSamplingOptions;
+/// Sub-options for the streaming "bico" builder (z = 2 only);
+/// max_features = 0 uses the effective coreset size m.
+using BicoOptions = ::fastcoreset::BicoOptions;
 
 /// Tagged per-method sub-options. std::monostate means "the method's
 /// defaults" and is the only value for methods without knobs (uniform,

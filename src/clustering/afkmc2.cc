@@ -8,14 +8,6 @@
 
 namespace fastcoreset {
 
-namespace {
-
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
-}  // namespace
-
 Clustering Afkmc2(const Matrix& points, const std::vector<double>& weights,
                   size_t k, const Afkmc2Options& options, Rng& rng) {
   const size_t n = points.rows();

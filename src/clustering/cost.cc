@@ -14,10 +14,6 @@ std::vector<double> UnitWeights(size_t n) {
 
 namespace {
 
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 double ApplyPower(double sq_dist, int z) {
   return z == 2 ? sq_dist : std::sqrt(sq_dist);
 }

@@ -11,10 +11,6 @@ namespace fastcoreset {
 
 namespace {
 
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 /// Incremental tree-metric D^z sampler over a fixed quadtree.
 class TreeSeeder {
  public:

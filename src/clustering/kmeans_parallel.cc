@@ -11,14 +11,6 @@
 
 namespace fastcoreset {
 
-namespace {
-
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
-}  // namespace
-
 Clustering KMeansParallel(const Matrix& points,
                           const std::vector<double>& weights, size_t k,
                           const KMeansParallelOptions& options, Rng& rng) {

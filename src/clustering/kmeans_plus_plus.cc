@@ -10,14 +10,6 @@
 
 namespace fastcoreset {
 
-namespace {
-
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
-}  // namespace
-
 Clustering KMeansPlusPlus(const Matrix& points,
                           const std::vector<double>& weights, size_t k,
                           int z, Rng& rng) {

@@ -7,14 +7,6 @@
 
 namespace fastcoreset {
 
-namespace {
-
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
-}  // namespace
-
 std::vector<double> GeometricMedian(const Matrix& points,
                                     const std::vector<double>& weights,
                                     const std::vector<size_t>& subset,

@@ -10,10 +10,6 @@ namespace fastcoreset {
 
 namespace {
 
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 // Weighted per-cluster sums and weights for the centroid step. Chunked
 // over points with per-chunk scratch merged in chunk order, so the result
 // is bit-identical at any thread count; falls back to one serial pass

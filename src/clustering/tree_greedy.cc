@@ -14,10 +14,6 @@ namespace fastcoreset {
 
 namespace {
 
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 // Position of each cell in the order in which inserting points 0..n-1 one
 // at a time (a leaf splits when a second point reaches it) would create
 // the cells of `tree` (an adaptive one). The frontier breaks priority ties

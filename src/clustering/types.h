@@ -31,6 +31,11 @@ struct Clustering {
 /// Convenience: a vector of n unit weights.
 std::vector<double> UnitWeights(size_t n);
 
+/// Weight of point i; an empty weight vector means unit weights.
+inline double WeightAt(const std::vector<double>& weights, size_t i) {
+  return weights.empty() ? 1.0 : weights[i];
+}
+
 }  // namespace fastcoreset
 
 #endif  // FASTCORESET_CLUSTERING_TYPES_H_

@@ -16,6 +16,16 @@
 
 namespace fastcoreset {
 
+/// One SplitMix64 step: advances `x` by the golden-ratio increment and
+/// returns the mixed value. Also derives independent seeds from one.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic random number generator (xoshiro256**).
 class Rng {
  public:
@@ -24,14 +34,9 @@ class Rng {
 
   /// Resets the state as if constructed with `seed`.
   void Reseed(uint64_t seed) {
-    uint64_t x = seed;
-    for (int i = 0; i < 4; ++i) {
-      // SplitMix64 step; guarantees a non-degenerate xoshiro state.
-      x += 0x9e3779b97f4a7c15ull;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      state_[i] = z ^ (z >> 31);
+    // Consecutive SplitMix64 outputs; guarantees a non-degenerate state.
+    for (uint64_t i = 0; i < 4; ++i) {
+      state_[i] = SplitMix64(seed + i * 0x9e3779b97f4a7c15ull);
     }
   }
 

@@ -14,10 +14,6 @@ namespace fastcoreset {
 
 namespace {
 
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 /// Step 3: replace every cluster's seeded center by its 1-mean (z = 2) or
 /// 1-median (z = 1) over the cluster's points in the given space. An
 /// unused cluster keeps a row of zeros.
@@ -61,12 +57,13 @@ Matrix RefineCenters(const Matrix& points, const std::vector<double>& weights,
 }  // namespace
 
 Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
+                    size_t k, size_t m, int z,
                     const FastCoresetOptions& options, Rng& rng,
                     std::vector<StageTime>* stages) {
   FC_CHECK_GT(points.rows(), 0u);
-  FC_CHECK_GT(options.k, 0u);
-  FC_CHECK(options.z == 1 || options.z == 2);
-  const size_t m = options.m == 0 ? 40 * options.k : options.m;
+  FC_CHECK_GT(k, 0u);
+  FC_CHECK_GT(m, 0u);
+  FC_CHECK(z == 1 || z == 2);
   Timer stage_timer;
   // Appends the stage that just finished and restarts the clock.
   const auto end_stage = [stages, &stage_timer](const char* name) {
@@ -80,8 +77,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
   const Matrix* seed_space = &points;
   Matrix projected;
   if (options.use_jl) {
-    const size_t target =
-        JlTargetDim(options.k, options.jl_eps, points.cols());
+    const size_t target = JlTargetDim(k, options.jl_eps, points.cols());
     if (target < points.cols()) {
       projected = JlProject(points, target, rng);
       seed_space = &projected;
@@ -93,7 +89,7 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
   // reduced set correspond 1:1 to input rows, so assignments carry over.
   Matrix reduced;
   if (options.use_spread_reduction) {
-    const CrudeApproxResult crude = CrudeApprox(*seed_space, options.k, rng);
+    const CrudeApproxResult crude = CrudeApprox(*seed_space, k, rng);
     if (crude.upper_bound > 0.0) {
       SpreadReduction reduction =
           ReduceSpread(*seed_space, crude.upper_bound, 64.0, rng);
@@ -107,24 +103,22 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
   Clustering solution;
   if (options.seeder == FastCoresetSeeder::kTreeGreedy) {
     TreeGreedyOptions greedy;
-    greedy.z = options.z;
+    greedy.z = z;
     greedy.max_depth = options.seeding.max_depth;
-    solution = TreeGreedySeeding(*seed_space, weights, options.k, greedy, rng);
+    solution = TreeGreedySeeding(*seed_space, weights, k, greedy, rng);
   } else {
     FastKMeansPlusPlusOptions seeding = options.seeding;
-    seeding.z = options.z;
-    solution = FastKMeansPlusPlus(*seed_space, weights, options.k, seeding,
-                                  rng);
+    seeding.z = z;
+    solution = FastKMeansPlusPlus(*seed_space, weights, k, seeding, rng);
   }
   end_stage("seeding");
 
   // Step 3: refine centers and evaluate sensitivities in the original
   // space (the assignment is reused; only the cost geometry changes).
-  const Matrix centers =
-      RefineCenters(points, weights, solution.assignment,
-                    solution.centers.rows(), options.z);
-  const ImportanceScores scores = ComputeSensitivities(
-      points, weights, solution.assignment, centers, options.z);
+  const Matrix centers = RefineCenters(points, weights, solution.assignment,
+                                       solution.centers.rows(), z);
+  const ImportanceScores scores =
+      ComputeSensitivities(points, weights, solution.assignment, centers, z);
   end_stage("sensitivities");
 
   // Step 4: importance-sample and weight.

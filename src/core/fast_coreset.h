@@ -33,12 +33,15 @@ enum class FastCoresetSeeder {
   kTreeGreedy,          ///< HST top-down greedy (Section 8.4 extension).
 };
 
-/// Options for FastCoreset.
-struct FastCoresetOptions {
-  size_t k = 100;  ///< Number of clusters the coreset must support.
-  size_t m = 0;    ///< Coreset size; 0 picks 40 * k (the paper's default).
-  int z = 2;       ///< 1 = k-median, 2 = k-means.
+/// Wire names of the FastCoresetSeeder values, indexed by enumerator.
+inline constexpr const char* kFastSeederNames[] = {"fast_kmeans++",
+                                                   "tree_greedy"};
 
+/// Method knobs for FastCoreset; k, m and z are arguments. Every knob is
+/// named once, in Fields(self, f): one f(wire_name, member) call per knob.
+/// The fc_serve request reader, its unknown-key check and the service
+/// cache key all walk that list, so wire names and their order are stable.
+struct FastCoresetOptions {
   /// JL projection before seeding (skipped when the input dimension is
   /// already at most the target O(log k / jl_eps^2)).
   bool use_jl = true;
@@ -55,12 +58,29 @@ struct FastCoresetOptions {
   /// Seeding algorithm for the approximate solution.
   FastCoresetSeeder seeder = FastCoresetSeeder::kFastKMeansPlusPlus;
 
-  /// Seeding knobs forwarded to Fast-kmeans++ (z is overridden).
+  /// Seeding knobs forwarded to Fast-kmeans++ (z is overridden; tree
+  /// greedy reads max_depth only). max_depth must be in [1, 62].
   FastKMeansPlusPlusOptions seeding;
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) {
+    f("use_jl", self.use_jl);
+    f("jl_eps", self.jl_eps);
+    f("use_spread_reduction", self.use_spread_reduction);
+    f("center_correction", self.center_correction);
+    f("correction_eps", self.correction_eps);
+    f("seeding_max_depth", self.seeding.max_depth);
+    f("seeding_full_depth_tree", self.seeding.full_depth_tree);
+    f("seeding_rejection_sampling", self.seeding.rejection_sampling);
+    f("seeding_max_rejections", self.seeding.max_rejections);
+    f("seeder", self.seeder);
+  }
 };
 
-/// Builds a Fast-Coreset of `points` (optionally weighted). The coreset's
-/// rows are rows of `points` (plus synthetic correction points if enabled).
+/// Builds a Fast-Coreset of `points` (optionally weighted) with `m >= 1`
+/// rows for k-clustering with cost exponent `z` (1 = k-median, 2 =
+/// k-means). The coreset's rows are rows of `points` (plus synthetic
+/// correction points if enabled).
 /// `stages`, when non-null, gets the wall clock of each step appended in
 /// pipeline order: "jl_projection" (step 1, ~0 when skipped),
 /// "spread_reduction" (step 2b, only when enabled), "seeding" (step 2),
@@ -68,6 +88,7 @@ struct FastCoresetOptions {
 /// Timing never touches the rng, so collecting it cannot perturb the
 /// sampled coreset.
 Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
+                    size_t k, size_t m, int z,
                     const FastCoresetOptions& options, Rng& rng,
                     std::vector<StageTime>* stages = nullptr);
 

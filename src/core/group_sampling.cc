@@ -12,10 +12,6 @@ namespace fastcoreset {
 
 namespace {
 
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
 /// Draws `budget` points from `pool` proportional to `mass` (parallel to
 /// pool), merging duplicates. Each draw of pool[r] carries weight
 /// w_p * total_mass / (budget * mass[r]) — the unbiased inverse-probability
@@ -69,25 +65,26 @@ int RingIndex(double j) {
 }  // namespace
 
 Coreset GroupSamplingCoreset(const Matrix& points,
-                             const std::vector<double>& weights,
+                             const std::vector<double>& weights, size_t k,
+                             size_t m, int z,
                              const GroupSamplingOptions& options, Rng& rng) {
-  const Clustering solution =
-      KMeansPlusPlus(points, weights, options.k, options.z, rng);
-  return GroupSamplingFromSolution(points, weights, solution, options, rng);
+  const Clustering solution = KMeansPlusPlus(points, weights, k, z, rng);
+  return GroupSamplingFromSolution(points, weights, solution, m, z, options,
+                                   rng);
 }
 
 Coreset GroupSamplingFromSolution(const Matrix& points,
                                   const std::vector<double>& weights,
-                                  const Clustering& solution,
+                                  const Clustering& solution, size_t m, int z,
                                   const GroupSamplingOptions& options,
                                   Rng& rng) {
   const size_t n = points.rows();
   const size_t clusters = solution.centers.rows();
   FC_CHECK_EQ(solution.assignment.size(), n);
-  FC_CHECK(options.z == 1 || options.z == 2);
+  FC_CHECK_GT(m, 0u);
+  FC_CHECK(z == 1 || z == 2);
   FC_CHECK_GT(options.eps, 0.0);
   FC_CHECK_LT(options.eps, 8.0);
-  const size_t m = options.m == 0 ? 40 * options.k : options.m;
 
   // Per-cluster statistics under the provided assignment.
   std::vector<double> cluster_cost(clusters, 0.0);
@@ -98,7 +95,6 @@ Coreset GroupSamplingFromSolution(const Matrix& points,
     cluster_weight[solution.assignment[i]] += w;
   }
 
-  const double z = static_cast<double>(options.z);
   const double close_factor = std::pow(options.eps / 8.0, z);
   const double outer_factor = std::pow(8.0 / options.eps, z);
   const int j_min = RingIndex(std::floor(std::log2(close_factor)));

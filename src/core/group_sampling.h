@@ -33,25 +33,28 @@
 
 namespace fastcoreset {
 
-/// Options for group sampling.
+/// Method knobs for group sampling; k, m and z are arguments. Fields()
+/// names each knob once, as in FastCoresetOptions.
 struct GroupSamplingOptions {
-  size_t k = 100;    ///< Clusters of the internal candidate solution.
-  size_t m = 0;      ///< Total coreset budget; 0 picks 40 * k.
-  int z = 2;         ///< 1 = k-median, 2 = k-means.
-  double eps = 0.5;  ///< Ring-threshold parameter.
+  double eps = 0.5;  ///< Ring-threshold parameter, in (0, 8).
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) { f("eps", self.eps); }
 };
 
-/// Builds a group-sampling coreset using a fresh k-means++ candidate
-/// solution. Close points surface as synthetic center representatives
+/// Builds a group-sampling coreset with a total budget of `m >= 1` rows,
+/// using a fresh k-means++ candidate solution of `k` clusters under cost
+/// exponent `z`. Close points surface as synthetic center representatives
 /// (indices = Coreset::kSyntheticIndex).
 Coreset GroupSamplingCoreset(const Matrix& points,
-                             const std::vector<double>& weights,
+                             const std::vector<double>& weights, size_t k,
+                             size_t m, int z,
                              const GroupSamplingOptions& options, Rng& rng);
 
 /// Variant reusing a precomputed solution with assignments.
 Coreset GroupSamplingFromSolution(const Matrix& points,
                                   const std::vector<double>& weights,
-                                  const Clustering& solution,
+                                  const Clustering& solution, size_t m, int z,
                                   const GroupSamplingOptions& options,
                                   Rng& rng);
 

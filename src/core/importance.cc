@@ -9,14 +9,6 @@
 
 namespace fastcoreset {
 
-namespace {
-
-double WeightAt(const std::vector<double>& weights, size_t i) {
-  return weights.empty() ? 1.0 : weights[i];
-}
-
-}  // namespace
-
 ImportanceScores ComputeSensitivities(const Matrix& points,
                                       const std::vector<double>& weights,
                                       const std::vector<size_t>& assignment,

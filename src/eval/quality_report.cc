@@ -56,8 +56,7 @@ QualityReport EvaluateCoreset(const Matrix& points,
 
   std::vector<double> true_mass(k, 0.0);
   for (size_t i = 0; i < points.rows(); ++i) {
-    true_mass[reference.assignment[i]] +=
-        weights.empty() ? 1.0 : weights[i];
+    true_mass[reference.assignment[i]] += WeightAt(weights, i);
   }
   std::vector<double> coreset_mass(k, 0.0);
   for (size_t r = 0; r < coreset.size(); ++r) {

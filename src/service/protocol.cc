@@ -171,22 +171,22 @@ FcStatus CheckAllowedKeys(const JsonValue& obj,
   });
 }
 
-/// FastSeeder by wire name (api::kFastSeederNames). An empty string keeps
+/// FastSeeder by wire name (kFastSeederNames). An empty string keeps
 /// the default, as an absent key does.
 FcStatus ReadSeeder(const JsonValue& obj, const char* key,
                     api::FastSeeder* out) {
   std::string name;
   FcStatus status = ReadString(obj, key, &name);
   if (!status.ok() || name.empty()) return status;
-  for (size_t i = 0; i < std::size(api::kFastSeederNames); ++i) {
-    if (name == api::kFastSeederNames[i]) {
+  for (size_t i = 0; i < std::size(kFastSeederNames); ++i) {
+    if (name == kFastSeederNames[i]) {
       *out = static_cast<api::FastSeeder>(i);
       return FcStatus::Ok();
     }
   }
   return FcStatus::InvalidArgument(std::string(key) + " must be '" +
-                                   api::kFastSeederNames[0] + "' or '" +
-                                   api::kFastSeederNames[1] + "'");
+                                   kFastSeederNames[0] + "' or '" +
+                                   kFastSeederNames[1] + "'");
 }
 
 /// Per-method options sub-object -> the method's MethodOptions
@@ -203,7 +203,7 @@ FcStatusOr<api::MethodOptions> OptionsFromJson(
         if constexpr (std::is_same_v<OptionsT, std::monostate>) {
           if (options.object().empty()) return api::MethodOptions();
           return FcStatus::InvalidArgument(
-              "method '" + std::string(algo.Name()) + "' takes no options");
+              "method '" + std::string(algo.name) + "' takes no options");
         } else {
           FcStatus status = CheckKeys(options, [&](const std::string& key) {
             bool known = false;
@@ -231,7 +231,7 @@ FcStatusOr<api::MethodOptions> OptionsFromJson(
           return api::MethodOptions(out);
         }
       },
-      algo.DefaultOptions());
+      algo.defaults);
 }
 
 FcStatusOr<Matrix> PointsFromJson(const JsonValue& rows) {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/api/fastcoreset.h"
+#include "src/common/rng.h"
 #include "src/common/task_graph.h"
 #include "src/common/timer.h"
 
@@ -11,14 +12,6 @@ namespace fastcoreset {
 namespace service {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 /// Returns the shard's rows as a dense matrix plus (when the request is
 /// weighted) the matching weight slice.

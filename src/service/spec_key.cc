@@ -20,7 +20,7 @@ std::string KnobValue(T value) {
   if constexpr (std::is_same_v<T, double>) {
     return JsonNumber(value);
   } else if constexpr (std::is_same_v<T, api::FastSeeder>) {
-    return api::kFastSeederNames[static_cast<int>(value)];
+    return kFastSeederNames[static_cast<int>(value)];
   } else {
     return std::to_string(value);  // bool, int, size_t.
   }
@@ -56,7 +56,7 @@ api::FcStatusOr<std::string> CanonicalSpecKey(const api::CoresetSpec& spec) {
   if (!algo.ok()) return algo.status();
 
   std::string key = "method=";
-  key += algo.value()->Name();
+  key += algo.value()->name;
   key += ";k=" + std::to_string(spec.k);
   key += ";m=" + std::to_string(spec.EffectiveM());
   key += ";z=" + std::to_string(spec.z);

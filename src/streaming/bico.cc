@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/clustering/types.h"
 #include "src/geometry/distance.h"
 
 namespace fastcoreset {
@@ -50,7 +51,7 @@ void Bico::Insert(std::span<const double> point, double weight) {
 void Bico::InsertAll(const Matrix& points, const std::vector<double>& weights) {
   FC_CHECK(weights.empty() || weights.size() == points.rows());
   for (size_t i = 0; i < points.rows(); ++i) {
-    Insert(points.Row(i), weights.empty() ? 1.0 : weights[i]);
+    Insert(points.Row(i), WeightAt(weights, i));
   }
 }
 

@@ -30,20 +30,29 @@
 
 namespace fastcoreset {
 
-/// Options for the BICO tree.
+/// Options for the BICO tree. Fields() names each knob once, as in
+/// FastCoresetOptions.
 struct BicoOptions {
-  /// Maximum number of clustering features kept before a rebuild.
-  size_t max_features = 4000;
+  /// Maximum number of clustering features kept before a rebuild; must be
+  /// >= 1 at construction. The facade resolves 0 to the coreset size m.
+  size_t max_features = 0;
   /// Initial 1-means error threshold; 0 derives it from the first points.
   double initial_threshold = 0.0;
   /// Depth cap of the CF tree.
   int max_depth = 16;
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) {
+    f("max_features", self.max_features);
+    f("initial_threshold", self.initial_threshold);
+    f("max_depth", self.max_depth);
+  }
 };
 
 /// Streaming BICO compressor for k-means (z = 2 only, as in the original).
 class Bico {
  public:
-  explicit Bico(size_t dim, const BicoOptions& options = BicoOptions());
+  explicit Bico(size_t dim, const BicoOptions& options);
 
   /// Inserts one point with the given weight.
   void Insert(std::span<const double> point, double weight = 1.0);

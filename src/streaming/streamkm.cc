@@ -27,7 +27,7 @@ Coreset StreamKmReduce(const Matrix& points,
   const size_t actual = seeding.centers.rows();
   std::vector<double> rep_weight(actual, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    rep_weight[seeding.assignment[i]] += weights.empty() ? 1.0 : weights[i];
+    rep_weight[seeding.assignment[i]] += WeightAt(weights, i);
   }
 
   Coreset coreset;

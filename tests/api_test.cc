@@ -65,9 +65,9 @@ TEST(RegistryTest, ListsSpectrumAndStreamingBuilders) {
 }
 
 TEST(RegistryTest, AliasesResolveToCanonicalAlgorithms) {
-  EXPECT_EQ(api::FindMethod("fast").value()->Name(), "fast_coreset");
-  EXPECT_EQ(api::FindMethod("group").value()->Name(), "group_sampling");
-  EXPECT_EQ(api::FindMethod("streamkm").value()->Name(), "stream_km");
+  EXPECT_EQ(api::FindMethod("fast").value()->name, "fast_coreset");
+  EXPECT_EQ(api::FindMethod("group").value()->name, "group_sampling");
+  EXPECT_EQ(api::FindMethod("streamkm").value()->name, "stream_km");
   EXPECT_TRUE(api::FindMethod("fast").ok());
   // Aliases are not listed as names.
   const std::vector<std::string> names = api::MethodNames();
@@ -279,14 +279,9 @@ TEST(SpecRoundTripTest, FastSpreadReductionReachesAlgorithmOne) {
   spec.options = options;
   const Coreset via_facade = api::Build(spec, points)->coreset;
 
-  FastCoresetOptions core;
-  core.k = 4;
-  core.m = 60;
-  core.z = 2;
-  core.use_jl = false;
-  core.use_spread_reduction = true;
   Rng direct_rng(seed);
-  const Coreset direct = FastCoreset(points, {}, core, direct_rng);
+  const Coreset direct =
+      FastCoreset(points, {}, /*k=*/4, /*m=*/60, /*z=*/2, options, direct_rng);
   ExpectBitIdentical(via_facade, direct, "fast_coreset spread reduction");
 
   // Spread reduction consumes rng (Crude-Approx) before seeding, so the

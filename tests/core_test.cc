@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/fastcoreset.h"
 #include "src/clustering/cost.h"
 #include "src/clustering/kmeans_plus_plus.h"
 #include "src/common/discrete_distribution.h"
@@ -422,10 +423,7 @@ TEST(WelterweightTest, JEqualsOneMatchesLightweightShape) {
 TEST(FastCoresetTest, EndToEndSizeAndWeights) {
   Rng rng(15);
   const Matrix points = Blobs(8, 200, 10, rng);
-  FastCoresetOptions options;
-  options.k = 8;
-  options.m = 300;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 8, 300, 2, {}, rng);
   EXPECT_LE(coreset.size(), 300u);
   EXPECT_GT(coreset.size(), 100u);
   EXPECT_NEAR(coreset.TotalWeight(), 1600.0, 400.0);
@@ -436,10 +434,7 @@ TEST(FastCoresetTest, CapturesOutliers) {
   Rng rng(16);
   const size_t n = 20000, c = 10;
   const Matrix points = GenerateCOutlier(n, c, 5, 1e6, rng);
-  FastCoresetOptions options;
-  options.k = 20;
-  options.m = 200;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 20, 200, 2, {}, rng);
   size_t outliers_sampled = 0;
   for (size_t idx : coreset.indices) {
     if (idx != Coreset::kSyntheticIndex && idx >= n - c) ++outliers_sampled;
@@ -448,24 +443,25 @@ TEST(FastCoresetTest, CapturesOutliers) {
 }
 
 TEST(FastCoresetTest, DefaultMIs40K) {
+  // The 40 * k default lives in the facade (CoresetSpec::EffectiveM); the
+  // core entry point takes an explicit m.
   Rng rng(17);
   const Matrix points = Blobs(4, 400, 3, rng);
-  FastCoresetOptions options;
-  options.k = 4;
-  options.m = 0;  // default 40k = 160
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
-  EXPECT_LE(coreset.size(), 160u);
-  EXPECT_GT(coreset.size(), 80u);
+  api::CoresetSpec spec;
+  spec.method = "fast_coreset";
+  spec.k = 4;
+  spec.m = 0;  // default 40k = 160
+  const auto result = api::Build(spec, points, {}, rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->diagnostics.m_effective, 160u);
+  EXPECT_LE(result->coreset.size(), 160u);
+  EXPECT_GT(result->coreset.size(), 80u);
 }
 
 TEST(FastCoresetTest, KMedianMode) {
   Rng rng(18);
   const Matrix points = Blobs(5, 100, 4, rng);
-  FastCoresetOptions options;
-  options.k = 5;
-  options.m = 150;
-  options.z = 1;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 5, 150, 1, {}, rng);
   EXPECT_GT(coreset.size(), 0u);
   EXPECT_NEAR(coreset.TotalWeight(), 500.0, 150.0);
 }
@@ -474,11 +470,9 @@ TEST(FastCoresetTest, SpreadReductionPathProducesValidCoreset) {
   Rng rng(19);
   const Matrix points = GenerateSpreadDataset(5000, 30, rng);
   FastCoresetOptions options;
-  options.k = 10;
-  options.m = 200;
   options.use_spread_reduction = true;
   options.use_jl = false;  // 2-D input.
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 10, 200, 2, options, rng);
   EXPECT_GT(coreset.size(), 0u);
   // Coreset points must be original dataset rows (not spread-reduced).
   for (size_t r = 0; r < coreset.size(); ++r) {
@@ -492,10 +486,8 @@ TEST(FastCoresetTest, CenterCorrectionAddsSyntheticRows) {
   Rng rng(20);
   const Matrix points = Blobs(4, 100, 3, rng);
   FastCoresetOptions options;
-  options.k = 4;
-  options.m = 50;
   options.center_correction = true;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 4, 50, 2, options, rng);
   size_t synthetic = 0;
   for (size_t idx : coreset.indices) {
     if (idx == Coreset::kSyntheticIndex) ++synthetic;

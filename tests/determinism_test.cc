@@ -108,18 +108,16 @@ void ExpectCoresetsIdentical(const Coreset& a, const Coreset& b) {
 TEST(DeterminismTest, FastCoresetBitIdenticalAcrossThreadCounts) {
   const Matrix points = TestPoints(10, 105);
   FastCoresetOptions options;
-  options.k = 12;
-  options.m = 240;
   Coreset coreset1, coreset4;
   {
     ThreadCountGuard guard(1);
     Rng rng(106);
-    coreset1 = FastCoreset(points, {}, options, rng);
+    coreset1 = FastCoreset(points, {}, 12, 240, 2, options, rng);
   }
   {
     ThreadCountGuard guard(4);
     Rng rng(106);
-    coreset4 = FastCoreset(points, {}, options, rng);
+    coreset4 = FastCoreset(points, {}, 12, 240, 2, options, rng);
   }
   ExpectCoresetsIdentical(coreset1, coreset4);
 }
@@ -221,19 +219,17 @@ TEST(DeterminismTest, LloydBitIdenticalAcrossThreadCounts) {
 TEST(DeterminismTest, FastCoresetSpreadPathBitIdenticalAcrossThreadCounts) {
   const Matrix points = TestPoints(8, 119);
   FastCoresetOptions options;
-  options.k = 10;
-  options.m = 200;
   options.use_spread_reduction = true;
   Coreset coreset1, coreset4;
   {
     ThreadCountGuard guard(1);
     Rng rng(120);
-    coreset1 = FastCoreset(points, {}, options, rng);
+    coreset1 = FastCoreset(points, {}, 10, 200, 2, options, rng);
   }
   {
     ThreadCountGuard guard(4);
     Rng rng(120);
-    coreset4 = FastCoreset(points, {}, options, rng);
+    coreset4 = FastCoreset(points, {}, 10, 200, 2, options, rng);
   }
   ExpectCoresetsIdentical(coreset1, coreset4);
 
@@ -241,7 +237,7 @@ TEST(DeterminismTest, FastCoresetSpreadPathBitIdenticalAcrossThreadCounts) {
   {
     ThreadCountGuard guard(4);
     Rng rng(120);
-    const Coreset again = FastCoreset(points, {}, options, rng);
+    const Coreset again = FastCoreset(points, {}, 10, 200, 2, options, rng);
     ExpectCoresetsIdentical(coreset4, again);
   }
 }
@@ -404,12 +400,10 @@ TEST(DeterminismTest, ConcurrentShardBuildsBitIdenticalToSequentialWalk) {
 TEST(DeterminismTest, RepeatedRunsIdenticalAtFixedThreadCount) {
   const Matrix points = TestPoints(6, 111);
   FastCoresetOptions options;
-  options.k = 8;
-  options.m = 160;
   ThreadCountGuard guard(4);
   Rng rng_a(112), rng_b(112);
-  const Coreset a = FastCoreset(points, {}, options, rng_a);
-  const Coreset b = FastCoreset(points, {}, options, rng_b);
+  const Coreset a = FastCoreset(points, {}, 8, 160, 2, options, rng_a);
+  const Coreset b = FastCoreset(points, {}, 8, 160, 2, options, rng_b);
   ExpectCoresetsIdentical(a, b);
 }
 
@@ -479,9 +473,9 @@ TEST(GoldenFingerprintTest, FastCoresetBuildsMatchPinnedFingerprints) {
   for (double& w : weights) w = weight_rng.NextDouble() + 0.1;
 
   api::FastOptions full_depth;
-  full_depth.seeding_full_depth_tree = true;
+  full_depth.seeding.full_depth_tree = true;
   api::FastOptions shallow;
-  shallow.seeding_max_depth = 3;  // Forces multi-point leaves.
+  shallow.seeding.max_depth = 3;  // Forces multi-point leaves.
   api::FastOptions no_jl;
   no_jl.use_jl = false;
   api::FastOptions greedy;

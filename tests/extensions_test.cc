@@ -41,10 +41,8 @@ TEST(GroupSamplingTest, TotalWeightConcentratesAroundN) {
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     Rng trial(100 + t);
-    GroupSamplingOptions options;
-    options.k = 6;
-    options.m = 200;
-    total += GroupSamplingCoreset(points, {}, options, trial).TotalWeight();
+    total +=
+        GroupSamplingCoreset(points, {}, 6, 200, 2, {}, trial).TotalWeight();
   }
   EXPECT_NEAR(total / trials / 1200.0, 1.0, 0.1);
 }
@@ -52,10 +50,7 @@ TEST(GroupSamplingTest, TotalWeightConcentratesAroundN) {
 TEST(GroupSamplingTest, CloseRepresentativesAreSynthetic) {
   Rng rng(2);
   const Matrix points = Blobs(4, 150, 3, rng);
-  GroupSamplingOptions options;
-  options.k = 4;
-  options.m = 100;
-  const Coreset coreset = GroupSamplingCoreset(points, {}, options, rng);
+  const Coreset coreset = GroupSamplingCoreset(points, {}, 4, 100, 2, {}, rng);
   size_t synthetic = 0;
   for (size_t idx : coreset.indices) {
     if (idx == Coreset::kSyntheticIndex) ++synthetic;
@@ -68,10 +63,7 @@ TEST(GroupSamplingTest, CloseRepresentativesAreSynthetic) {
 TEST(GroupSamplingTest, LowDistortionOnBlobs) {
   Rng rng(3);
   const Matrix points = Blobs(8, 400, 6, rng);
-  GroupSamplingOptions options;
-  options.k = 8;
-  options.m = 400;
-  const Coreset coreset = GroupSamplingCoreset(points, {}, options, rng);
+  const Coreset coreset = GroupSamplingCoreset(points, {}, 8, 400, 2, {}, rng);
   DistortionOptions probe;
   probe.k = 8;
   EXPECT_LT(CoresetDistortion(points, {}, coreset, probe, rng), 1.5);
@@ -81,10 +73,7 @@ TEST(GroupSamplingTest, CapturesOutliers) {
   Rng rng(4);
   const size_t n = 20000, c = 10;
   const Matrix points = GenerateCOutlier(n, c, 5, 1e6, rng);
-  GroupSamplingOptions options;
-  options.k = 20;
-  options.m = 200;
-  const Coreset coreset = GroupSamplingCoreset(points, {}, options, rng);
+  const Coreset coreset = GroupSamplingCoreset(points, {}, 20, 200, 2, {}, rng);
   // Either an outlier point was sampled, or an outlier-cluster center
   // representative carries its weight; check via cost coverage: a probe
   // centered only on the main blob must still see the outliers' cost.
@@ -105,10 +94,8 @@ TEST(GroupSamplingTest, UnbiasedCostEstimator) {
   const int trials = 40;
   for (int t = 0; t < trials; ++t) {
     Rng trial(700 + t);
-    GroupSamplingOptions options;
-    options.k = 5;
-    options.m = 150;
-    const Coreset coreset = GroupSamplingCoreset(points, {}, options, trial);
+    const Coreset coreset =
+        GroupSamplingCoreset(points, {}, 5, 150, 2, {}, trial);
     estimate += CostToCenters(coreset.points, coreset.weights, probe.centers,
                               2);
   }
@@ -120,11 +107,7 @@ TEST(GroupSamplingTest, UnbiasedCostEstimator) {
 TEST(GroupSamplingTest, KMedianMode) {
   Rng rng(7);
   const Matrix points = Blobs(5, 200, 3, rng);
-  GroupSamplingOptions options;
-  options.k = 5;
-  options.m = 200;
-  options.z = 1;
-  const Coreset coreset = GroupSamplingCoreset(points, {}, options, rng);
+  const Coreset coreset = GroupSamplingCoreset(points, {}, 5, 200, 1, {}, rng);
   DistortionOptions probe;
   probe.k = 5;
   probe.z = 1;
@@ -212,10 +195,8 @@ TEST(FastCoresetSeederTest, TreeGreedySeederProducesValidCoreset) {
   Rng rng(15);
   const Matrix points = Blobs(8, 300, 8, rng);
   FastCoresetOptions options;
-  options.k = 8;
-  options.m = 300;
   options.seeder = FastCoresetSeeder::kTreeGreedy;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 8, 300, 2, options, rng);
   EXPECT_GT(coreset.size(), 0u);
   DistortionOptions probe;
   probe.k = 8;

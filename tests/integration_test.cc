@@ -25,10 +25,7 @@ namespace {
 TEST(PipelineTest, CompressClusterMatchesDirectClustering) {
   Rng rng(1);
   const Matrix points = GenerateGaussianMixture(30000, 15, 20, 1.5, rng);
-  FastCoresetOptions options;
-  options.k = 20;
-  options.m = 800;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 20, 800, 2, {}, rng);
 
   Rng solve_rng(2);
   const Clustering on_coreset = LloydKMeans(
@@ -50,10 +47,9 @@ TEST(PipelineTest, HighDimensionalJlPath) {
   Rng rng(4);
   const Dataset mnist = MakeMnistLike(4000, rng);
   FastCoresetOptions options;
-  options.k = 10;
-  options.m = 400;
   ASSERT_TRUE(options.use_jl);
-  const Coreset coreset = FastCoreset(mnist.points, {}, options, rng);
+  const Coreset coreset =
+      FastCoreset(mnist.points, {}, 10, 400, 2, options, rng);
   DistortionOptions probe;
   probe.k = 10;
   EXPECT_LT(CoresetDistortion(mnist.points, {}, coreset, probe, rng), 1.5);
@@ -74,10 +70,7 @@ TEST(PipelineTest, CoresetUnionIsCoresetOfUnion) {
   Coreset coreset_union;
   coreset_union.points = Matrix(0, points.cols());
   for (const Matrix* part : {&a, &b}) {
-    FastCoresetOptions options;
-    options.k = 15;
-    options.m = 400;
-    const Coreset local = FastCoreset(*part, {}, options, rng);
+    const Coreset local = FastCoreset(*part, {}, 15, 400, 2, {}, rng);
     coreset_union.points.AppendRows(local.points);
     coreset_union.weights.insert(coreset_union.weights.end(),
                                  local.weights.begin(), local.weights.end());
@@ -95,11 +88,9 @@ TEST(DeterminismTest, SameSeedSameCoreset) {
   Rng data_rng(6);
   const Matrix points = GenerateGaussianMixture(5000, 8, 10, 1.0, data_rng);
   FastCoresetOptions options;
-  options.k = 10;
-  options.m = 200;
   Rng rng_a(99), rng_b(99);
-  const Coreset a = FastCoreset(points, {}, options, rng_a);
-  const Coreset b = FastCoreset(points, {}, options, rng_b);
+  const Coreset a = FastCoreset(points, {}, 10, 200, 2, options, rng_a);
+  const Coreset b = FastCoreset(points, {}, 10, 200, 2, options, rng_b);
   ASSERT_EQ(a.size(), b.size());
   for (size_t r = 0; r < a.size(); ++r) {
     EXPECT_EQ(a.indices[r], b.indices[r]);
@@ -194,11 +185,9 @@ TEST(CrudeApproxIntegrationTest, FeedsFastCoresetOnPathologicalSpread) {
   ASSERT_GT(crude.upper_bound, 0.0);
 
   FastCoresetOptions options;
-  options.k = 50;
-  options.m = 1000;
   options.use_jl = false;
   options.use_spread_reduction = true;
-  const Coreset coreset = FastCoreset(points, {}, options, rng);
+  const Coreset coreset = FastCoreset(points, {}, 50, 1000, 2, options, rng);
   DistortionOptions probe;
   probe.k = 50;
   EXPECT_LT(CoresetDistortion(points, {}, coreset, probe, rng), 2.0);

@@ -294,10 +294,9 @@ TEST_P(GroupSamplingProperty, DistortionAndWeightAcrossEps) {
   const Matrix points = BenignBlobs(6000, 8, 8, 15);
   Rng rng(16);
   GroupSamplingOptions options;
-  options.k = 8;
-  options.m = 400;
   options.eps = eps;
-  const Coreset coreset = GroupSamplingCoreset(points, {}, options, rng);
+  const Coreset coreset =
+      GroupSamplingCoreset(points, {}, 8, 400, 2, options, rng);
   EXPECT_NEAR(coreset.TotalWeight() / 6000.0, 1.0, 0.2);
   DistortionOptions probe;
   probe.k = 8;

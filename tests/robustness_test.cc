@@ -166,7 +166,7 @@ TEST(ContractDeathTest, ChecksFireOnBadArguments) {
       "FC_CHECK");
   EXPECT_DEATH({ FenwickTree tree(3); (void)tree.Sample(rng); },
                "all-zero FenwickTree");
-  Bico bico(2);
+  Bico bico(2, {.max_features = 4000});
   const std::vector<double> p = {0.0, 0.0};
   EXPECT_DEATH({ bico.Insert(p, 0.0); }, "FC_CHECK");
   // Quadtree depth caps outside [1, 62] (cell coordinates past level 62

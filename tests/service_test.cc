@@ -230,22 +230,22 @@ TEST(SpecKeyTest, CanonicalizesAliasesDefaultsAndOptions) {
            },
            +[](api::CoresetSpec* s) {
              api::FastOptions options;
-             options.seeding_max_depth = 30;
+             options.seeding.max_depth = 30;
              s->options = options;
            },
            +[](api::CoresetSpec* s) {
              api::FastOptions options;
-             options.seeding_full_depth_tree = true;
+             options.seeding.full_depth_tree = true;
              s->options = options;
            },
            +[](api::CoresetSpec* s) {
              api::FastOptions options;
-             options.seeding_rejection_sampling = false;
+             options.seeding.rejection_sampling = false;
              s->options = options;
            },
            +[](api::CoresetSpec* s) {
              api::FastOptions options;
-             options.seeding_max_rejections = 64;
+             options.seeding.max_rejections = 64;
              s->options = options;
            },
            +[](api::CoresetSpec* s) { s->method = "welterweight"; },
@@ -289,6 +289,29 @@ TEST(SpecKeyTest, CanonicalizesAliasesDefaultsAndOptions) {
 
   EXPECT_EQ(service::CanonicalSpecKey(SmallSpec("no_such")).status().code(),
             api::FcErrorCode::kNotFound);
+}
+
+TEST(SpecKeyTest, DefaultOptionKeysArePinned) {
+  // The exact key text of every method with knobs, at default options.
+  // Each options struct's Fields() list owns its wire names and their
+  // order; a renamed, reordered or re-defaulted knob would silently
+  // orphan every cached build, so the text is pinned here.
+  EXPECT_EQ(service::CanonicalSpecKey(SmallSpec("fast_coreset")).value(),
+            "method=fast_coreset;k=4;m=60;z=2;seed=7;w=unit;opt={use_jl=1,"
+            "jl_eps=0.69999999999999996,use_spread_reduction=0,"
+            "center_correction=0,correction_eps=0.10000000000000001,"
+            "seeding_max_depth=60,seeding_full_depth_tree=0,"
+            "seeding_rejection_sampling=1,seeding_max_rejections=512,"
+            "seeder=fast_kmeans++}");
+  EXPECT_EQ(service::CanonicalSpecKey(SmallSpec("group_sampling")).value(),
+            "method=group_sampling;k=4;m=60;z=2;seed=7;w=unit;opt={eps=0.5}");
+  // bico's max_features = 0 resolves to m.
+  EXPECT_EQ(service::CanonicalSpecKey(SmallSpec("bico")).value(),
+            "method=bico;k=4;m=60;z=2;seed=7;w=unit;opt={max_features=60,"
+            "initial_threshold=0,max_depth=16}");
+  // welterweight's j = 0 resolves to ceil(log2 k).
+  EXPECT_EQ(service::CanonicalSpecKey(SmallSpec("welterweight")).value(),
+            "method=welterweight;k=4;m=60;z=2;seed=7;w=unit;opt={j=2}");
 }
 
 // ------------------------------------------------------------- sharding
@@ -810,10 +833,10 @@ TEST(ProtocolTest, SpecFromJsonMarshalsFieldsAndOptions) {
   EXPECT_TRUE(fast.center_correction);
   EXPECT_EQ(fast.correction_eps, 0.2);
   EXPECT_EQ(fast.seeder, api::FastSeeder::kTreeGreedy);
-  EXPECT_EQ(fast.seeding_max_depth, 30);
-  EXPECT_TRUE(fast.seeding_full_depth_tree);
-  EXPECT_FALSE(fast.seeding_rejection_sampling);
-  EXPECT_EQ(fast.seeding_max_rejections, 64);
+  EXPECT_EQ(fast.seeding.max_depth, 30);
+  EXPECT_TRUE(fast.seeding.full_depth_tree);
+  EXPECT_FALSE(fast.seeding.rejection_sampling);
+  EXPECT_EQ(fast.seeding.max_rejections, 64);
 
   const auto kmpp_request = service::ParseJson(
       R"({"method":"fast_coreset","options":{"seeder":"fast_kmeans++"}})");

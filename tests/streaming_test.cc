@@ -140,7 +140,7 @@ TEST(BicoTest, FeatureBudgetRespected) {
 TEST(BicoTest, WeightConservation) {
   Rng rng(8);
   const Matrix points = Blobs(5, 300, 2, rng);
-  Bico bico(2);
+  Bico bico(2, {.max_features = 4000});
   bico.InsertAll(points);
   const Coreset coreset = bico.ExtractCoreset();
   EXPECT_NEAR(coreset.TotalWeight(), 1500.0, 1e-6);
@@ -171,7 +171,7 @@ TEST(BicoTest, CentroidOfSingleClusterIsItsMean) {
 }
 
 TEST(BicoTest, WeightedInsertions) {
-  Bico bico(1);
+  Bico bico(1, {.max_features = 4000});
   const std::vector<double> p1 = {0.0};
   const std::vector<double> p2 = {10.0};
   bico.Insert(p1, 5.0);

@@ -676,10 +676,6 @@ def _collect_unordered_vars(tokens: List[Token]) -> Tuple[Set[str], Set[str]]:
                     if nxt is not None and nxt.kind == "punct" and \
                             nxt.text in (";", "=", "{", "(", ",", ")"):
                         var_names.add(tokens[j].text)
-                # Alias: using NAME = std::unordered_map<...>;
-                if i >= 3 and tokens[i - 3].kind == "id" and \
-                        tokens[i - 3].text not in ("std",):
-                    pass
             if tok.kind == "id" and tok.text == "using" and \
                     i + 2 < len(tokens) and tokens[i + 1].kind == "id" and \
                     tokens[i + 2].kind == "punct" and \
@@ -1844,8 +1840,8 @@ def _scope_layering(p: str) -> bool:
 
 
 def _scope_lock_order(p: str) -> bool:
-    # mutex.h itself hosts the rank constants, the never-locked tier
-    # sentinels, and the runtime checker — all unranked by design.
+    # mutex.h itself hosts the rank constants, the Mutex/MutexLock
+    # wrappers and the runtime checker — all unranked by design.
     return _under(p, ["src"]) and p != "src/common/mutex.h"
 
 
