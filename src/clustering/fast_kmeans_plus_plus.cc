@@ -122,7 +122,15 @@ Clustering FastKMeansPlusPlus(const Matrix& points,
 
   for (size_t c = 1; c < k; ++c) {
     if (seeder.TotalMass() <= 0.0) break;  // No uncovered leaf remains.
-    size_t candidate = seeder.Sample(rng);
+    // Sampling steps onto a positive-mass slot whenever one exists, so a
+    // zero-mass candidate proves every point is covered and the positive
+    // total is Fenwick rounding residue. Stop as exact arithmetic would
+    // have at the total check above: without consuming the draw, and
+    // without adding a center that duplicates one already chosen.
+    Rng draw = rng;
+    size_t candidate = seeder.Sample(draw);
+    if (seeder.MassOf(candidate) <= 0.0) break;
+    rng = draw;
     if (options.rejection_sampling) {
       for (int attempt = 0; attempt < options.max_rejections; ++attempt) {
         // Accept with probability (Euclidean D^z to the assigned center) /
@@ -130,15 +138,6 @@ Clustering FastKMeansPlusPlus(const Matrix& points,
         // this is a valid acceptance probability; it reshapes the sampling
         // distribution toward true-metric D^z sampling.
         const double tree_pow = seeder.MassOf(candidate);
-        if (tree_pow <= 0.0) {
-          // Zero remaining tree mass means the candidate is co-located
-          // with an existing center (covered). Accepting it would emit a
-          // duplicate center while uncovered points remain, so resample.
-          // Sample() only returns positive-mass slots, making this
-          // unreachable after a draw — it guards the entry state.
-          candidate = seeder.Sample(rng);
-          continue;
-        }
         const size_t assigned_center =
             seeder.center_points()[seeder.AssignedOrdinal(candidate)];
         const double true_pow = WeightAt(weights, candidate) *

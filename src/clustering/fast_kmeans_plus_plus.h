@@ -56,8 +56,10 @@ struct FastKMeansPlusPlusOptions {
 /// Tree-metric D^z seeding of k centers with assignments. `weights` may be
 /// empty (unit weights). The returned Clustering's point_costs / total_cost
 /// are *Euclidean* costs of the tree-derived assignment (so they can feed
-/// sensitivity sampling directly). May return fewer than k centers only if
-/// the input has fewer than k distinct points.
+/// sensitivity sampling directly). The centers are pairwise distinct
+/// points. Fewer than k are returned only when every point shares a
+/// quadtree leaf with a center: the input has fewer than k distinct
+/// points, or the depth cap packs distinct points into one leaf.
 Clustering FastKMeansPlusPlus(const Matrix& points,
                               const std::vector<double>& weights, size_t k,
                               const FastKMeansPlusPlusOptions& options,

@@ -407,6 +407,38 @@ TEST(DeterminismTest, RepeatedRunsIdenticalAtFixedThreadCount) {
   ExpectCoresetsIdentical(a, b);
 }
 
+TEST(DeterminismTest, FastKMeansPlusPlusStopsWhenEveryPointIsCovered) {
+  // Regression: once every uncovered mass reaches zero, Fenwick rounding
+  // can leave a positive total. Each later draw then lands on a zero-mass
+  // (covered) slot and used to be added as a duplicate center until k
+  // were returned. A depth cap of 3 packs the 700 distinct rows into a
+  // few multi-point leaves, and the seeder returned 900 centers with 8
+  // distinct.
+  const Matrix points = TestPoints(6, 304);
+  std::vector<size_t> rows(kRows);
+  for (size_t i = 0; i < kRows; ++i) rows[i] = i % 700;
+  const Matrix duplicated = points.SelectRows(rows);
+  for (const int max_depth : {3, 60}) {
+    FastKMeansPlusPlusOptions options;
+    options.z = 1;
+    options.max_depth = max_depth;
+    Rng rng(305);
+    const Clustering clustering =
+        FastKMeansPlusPlus(duplicated, {}, 900, options, rng);
+    const size_t centers = clustering.centers.rows();
+    EXPECT_LE(centers, 700u) << "max_depth " << max_depth;
+    std::vector<std::vector<double>> distinct;
+    for (size_t c = 0; c < centers; ++c) {
+      const auto row = clustering.centers.Row(c);
+      distinct.emplace_back(row.begin(), row.end());
+    }
+    std::sort(distinct.begin(), distinct.end());
+    const auto unique_end = std::unique(distinct.begin(), distinct.end());
+    EXPECT_EQ(static_cast<size_t>(unique_end - distinct.begin()), centers)
+        << "max_depth " << max_depth;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Golden fingerprints. Every constant below was captured from the
 // insertion-built quadtree that the bulk, level-synchronous build
@@ -486,7 +518,7 @@ TEST(GoldenFingerprintTest, FastCoresetBuildsMatchPinnedFingerprints) {
        [&] { return BuildFingerprint(GoldenSpec({}), points); }},
       {"full_depth_tree", 0x632b72e78d522c6full,
        [&] { return BuildFingerprint(GoldenSpec(full_depth), points); }},
-      {"max_depth_3", 0x01bd9a0a5d98699cull,
+      {"max_depth_3", 0x105c980de19f07b2ull,
        [&] { return BuildFingerprint(GoldenSpec(shallow), points); }},
       {"duplicate_rows", 0xe67ffce4a5693454ull,
        [&] { return BuildFingerprint(GoldenSpec({}), duplicated); }},
@@ -524,11 +556,16 @@ TEST(GoldenFingerprintTest, SeedersMatchPinnedFingerprints) {
   for (size_t i = 0; i < kRows; ++i) rows[i] = i % 700;
   const Matrix duplicated = points.SelectRows(rows);
 
+  Rng weight_rng(306);
+  std::vector<double> weights(kRows);
+  for (double& w : weights) w = weight_rng.NextDouble() + 0.1;
+
   const auto seeding = [](const Matrix& data,
-                          const FastKMeansPlusPlusOptions& options, size_t k) {
+                          const FastKMeansPlusPlusOptions& options, size_t k,
+                          const std::vector<double>& point_weights = {}) {
     Rng rng(305);
     const Clustering clustering =
-        FastKMeansPlusPlus(data, {}, k, options, rng);
+        FastKMeansPlusPlus(data, point_weights, k, options, rng);
     return FingerprintClustering(clustering, rng);
   };
   FastKMeansPlusPlusOptions plain;
@@ -541,6 +578,12 @@ TEST(GoldenFingerprintTest, SeedersMatchPinnedFingerprints) {
   shallow.max_depth = 2;
   FastKMeansPlusPlusOptions median;
   median.z = 1;
+  // The rejection loop's edge budgets: no retry (the same draws as
+  // rejection_sampling = false) and a single retry.
+  FastKMeansPlusPlusOptions no_retries;
+  no_retries.max_rejections = 0;
+  FastKMeansPlusPlusOptions one_retry;
+  one_retry.max_rejections = 1;
 
   ExpectGolden({
       {"fast_kmpp", 0x418092fd68bca670ull,
@@ -549,12 +592,20 @@ TEST(GoldenFingerprintTest, SeedersMatchPinnedFingerprints) {
        [&] { return seeding(points, no_rejection, 40); }},
       {"fast_kmpp_full_depth_20", 0x418092fd68bca670ull,
        [&] { return seeding(points, full_depth, 40); }},
-      {"fast_kmpp_max_depth_2", 0x57f8f1622c35acc7ull,
+      {"fast_kmpp_max_depth_2", 0x75e2aed0e785d11cull,
        [&] { return seeding(points, shallow, 40); }},
       {"fast_kmpp_z1_duplicates", 0xb48b06c4bba7d256ull,
        [&] { return seeding(duplicated, median, 40); }},
       {"fast_kmpp_k_exceeds_distinct", 0xac068fc0a12ad176ull,
        [&] { return seeding(duplicated, plain, 900); }},
+      {"fast_kmpp_max_rejections_0", 0x894182a43fb33d4aull,
+       [&] { return seeding(points, no_retries, 40); }},
+      {"fast_kmpp_max_rejections_1", 0x487522a5a97fd4f8ull,
+       [&] { return seeding(points, one_retry, 40); }},
+      {"fast_kmpp_weighted", 0x55e7aa115f706bf0ull,
+       [&] { return seeding(points, plain, 40, weights); }},
+      {"fast_kmpp_weighted_z1", 0x7445aba3654e9c8dull,
+       [&] { return seeding(points, median, 40, weights); }},
   });
 }
 
