@@ -3,6 +3,8 @@
 // seeding and sensitivity computation. These are the terms in the paper's
 // Õ(nd) accounting.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "src/clustering/fast_kmeans_plus_plus.h"
@@ -60,16 +62,44 @@ void BM_QuadtreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_QuadtreeBuild)->Arg(1000)->Arg(10000)->Arg(50000);
 
+// The Fenwick draws run over one slot per point: n = 200k is the
+// end-to-end benchmark's build_fast shape, a tree well beyond L2.
+constexpr size_t kFenwickSlots = 200000;
+
+FenwickTree RandomFenwick(Rng& rng) {
+  std::vector<double> values(kFenwickSlots);
+  for (double& v : values) v = rng.NextDouble();
+  return FenwickTree(values);
+}
+
 void BM_FenwickSample(benchmark::State& state) {
-  const size_t n = 100000;
   Rng rng(6);
-  FenwickTree tree(n);
-  for (size_t i = 0; i < n; ++i) tree.Set(i, rng.NextDouble());
+  const FenwickTree tree = RandomFenwick(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.Sample(rng));
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FenwickSample);
+
+// The same draws resolved FenwickTree::kBatch at a time: one item is one
+// draw, so items/s compares directly with BM_FenwickSample.
+void BM_FenwickSampleBatch(benchmark::State& state) {
+  Rng rng(6);
+  const FenwickTree tree = RandomFenwick(rng);
+  const double total = tree.Total();
+  std::vector<double> targets(FenwickTree::kBatch);
+  std::vector<size_t> slots(FenwickTree::kBatch);
+  for (auto _ : state) {
+    for (double& target : targets) target = rng.NextDouble() * total;
+    tree.UpperBoundBatch(targets, slots);
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(FenwickTree::kBatch));
+}
+BENCHMARK(BM_FenwickSampleBatch);
 
 void BM_KMeansPlusPlus(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

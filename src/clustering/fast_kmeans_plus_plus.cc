@@ -1,6 +1,9 @@
 #include "src/clustering/fast_kmeans_plus_plus.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 
 #include "src/common/discrete_distribution.h"
 #include "src/common/parallel.h"
@@ -73,13 +76,71 @@ class TreeSeeder {
     return ordinal;
   }
 
-  /// Total remaining tree-metric D^z mass.
-  double TotalMass() const { return masses_.Total(); }
+  /// Draws the next center: tree-metric D^z candidates u_0, u_1, ...,
+  /// each accepted with probability (Euclidean D^z to its assigned
+  /// center) / (tree D^z), until one is accepted or `retries` rejections
+  /// leave u_retries standing. The tree distance dominates the Euclidean
+  /// one, so this is a valid acceptance probability; it reshapes the
+  /// sampling distribution toward true-metric D^z sampling.
+  ///
+  /// The masses are fixed between AddCenter calls, so the candidates are
+  /// i.i.d. The uniforms are drawn ahead on a copy of `rng` in the serial
+  /// order (a pair (u_i, a_i) per tested candidate, then u_retries alone)
+  /// and each batch's Fenwick descents are resolved together. `rng` then
+  /// advances by exactly the values consumed: 2i + 2 when u_i is
+  /// accepted, 2 * retries + 1 when the budget runs out. Batches grow
+  /// 8 -> 16 -> 32 -> 64, so an early acceptance wastes few draws.
+  ///
+  /// Returns nullopt, consuming nothing, once every point is covered.
+  std::optional<size_t> DrawCenter(Rng& rng, size_t retries) const {
+    const double total = masses_.Total();
+    if (total <= 0.0) return std::nullopt;
+    std::array<double, FenwickTree::kBatch> targets{}, accepts{},
+        tree_pows{}, true_pows{};
+    std::array<size_t, FenwickTree::kBatch> candidates{};
+    Rng ahead = rng;
+    size_t drawn = 0;  // Candidates resolved by earlier batches.
+    for (size_t width = 8;; width = std::min(2 * width, FenwickTree::kBatch)) {
+      const Rng batch_start = ahead;
+      const size_t lanes = std::min(width, retries + 1 - drawn);
+      const size_t tested = std::min(lanes, retries - drawn);
+      for (size_t j = 0; j < lanes; ++j) {
+        targets[j] = ahead.NextDouble() * total;
+        if (j < tested) accepts[j] = ahead.NextDouble();
+      }
+      masses_.UpperBoundBatch({targets.data(), lanes},
+                              {candidates.data(), lanes});
+      // Sampling steps onto a positive-mass slot whenever one exists, so
+      // a zero-mass candidate proves every point is covered and the
+      // positive total is Fenwick rounding residue. Stop as exact
+      // arithmetic would have at the total check: without consuming the
+      // draw, and without a center that duplicates one already chosen.
+      if (drawn == 0 && masses_.Get(candidates[0]) <= 0.0) {
+        return std::nullopt;
+      }
+      for (size_t j = 0; j < tested; ++j) {
+        const size_t p = candidates[j];
+        tree_pows[j] = masses_.Get(p);
+        FC_DCHECK(tree_pows[j] > 0.0);
+        const size_t center = center_points_[assigned_[p]];
+        true_pows[j] = WeightAt(weights_, p) *
+                       DistPow(points_.Row(p), points_.Row(center), z_);
+      }
+      for (size_t j = 0; j < tested; ++j) {
+        if (accepts[j] * tree_pows[j] <= true_pows[j]) {
+          rng = batch_start;
+          for (size_t v = 0; v < 2 * j + 2; ++v) rng.NextU64();
+          return candidates[j];
+        }
+      }
+      drawn += lanes;
+      if (drawn > retries) {
+        rng = ahead;
+        return candidates[lanes - 1];
+      }
+    }
+  }
 
-  /// Samples a point index proportional to the current tree-metric masses.
-  size_t Sample(Rng& rng) const { return masses_.Sample(rng); }
-
-  double MassOf(size_t p) const { return masses_.Get(p); }
   size_t AssignedOrdinal(size_t p) const { return assigned_[p]; }
   const std::vector<size_t>& center_points() const { return center_points_; }
 
@@ -120,35 +181,14 @@ Clustering FastKMeansPlusPlus(const Matrix& points,
       weights.empty() ? rng.NextIndex(n) : rng.SampleDiscrete(weights);
   seeder.AddCenter(first);
 
+  const size_t retries =
+      options.rejection_sampling
+          ? static_cast<size_t>(std::max(options.max_rejections, 0))
+          : 0;
   for (size_t c = 1; c < k; ++c) {
-    if (seeder.TotalMass() <= 0.0) break;  // No uncovered leaf remains.
-    // Sampling steps onto a positive-mass slot whenever one exists, so a
-    // zero-mass candidate proves every point is covered and the positive
-    // total is Fenwick rounding residue. Stop as exact arithmetic would
-    // have at the total check above: without consuming the draw, and
-    // without adding a center that duplicates one already chosen.
-    Rng draw = rng;
-    size_t candidate = seeder.Sample(draw);
-    if (seeder.MassOf(candidate) <= 0.0) break;
-    rng = draw;
-    if (options.rejection_sampling) {
-      for (int attempt = 0; attempt < options.max_rejections; ++attempt) {
-        // Accept with probability (Euclidean D^z to the assigned center) /
-        // (tree D^z). The tree distance dominates the Euclidean one, so
-        // this is a valid acceptance probability; it reshapes the sampling
-        // distribution toward true-metric D^z sampling.
-        const double tree_pow = seeder.MassOf(candidate);
-        const size_t assigned_center =
-            seeder.center_points()[seeder.AssignedOrdinal(candidate)];
-        const double true_pow = WeightAt(weights, candidate) *
-                                DistPow(points.Row(candidate),
-                                        points.Row(assigned_center),
-                                        options.z);
-        if (rng.NextDouble() * tree_pow <= true_pow) break;
-        candidate = seeder.Sample(rng);
-      }
-    }
-    seeder.AddCenter(candidate);
+    const std::optional<size_t> center = seeder.DrawCenter(rng, retries);
+    if (!center.has_value()) break;  // Every point is covered.
+    seeder.AddCenter(*center);
   }
 
   const std::vector<size_t>& center_points = seeder.center_points();

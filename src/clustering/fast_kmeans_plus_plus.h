@@ -18,6 +18,10 @@
 // rejection-sampling step accepts a tree-sampled candidate with probability
 // (Euclidean D^z to its assigned center) / (tree D^z), tilting the
 // distribution toward the true Euclidean one as in the original paper.
+// Masses stay fixed between two centers, so one center's candidates are
+// i.i.d.: their uniforms are pre-drawn in the serial order, their Fenwick
+// descents resolved in branch-free batches, and the generator advanced by
+// exactly the values the serial rejection loop would consume.
 
 #ifndef FASTCORESET_CLUSTERING_FAST_KMEANS_PLUS_PLUS_H_
 #define FASTCORESET_CLUSTERING_FAST_KMEANS_PLUS_PLUS_H_

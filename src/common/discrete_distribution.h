@@ -6,20 +6,25 @@
 // tree masses) costs an incremental update instead of the O(n)
 // rebuild-and-re-sum that Rng::SampleDiscrete pays per draw.
 //
-// All mutation and sampling is serial by design: every RNG draw happens
-// on the calling thread, so the substrate's determinism contract
-// (bit-identical results at any FC_THREADS) extends to every consumer.
-// Parallel producers hand their updates over as per-chunk batches and
-// apply them on the calling thread — see KMeansPlusPlus for the pattern.
+// Mutation and every RNG draw stay serial on the calling thread, so the
+// substrate's determinism contract (bit-identical results at any
+// FC_THREADS) extends to every consumer. Only the Fenwick descents that
+// map drawn targets to slots, which are pure reads, may run on the pool
+// (SampleMany). Parallel producers hand their updates over as per-chunk
+// batches and apply them on the calling thread — see KMeansPlusPlus for
+// the pattern.
 
 #ifndef FASTCORESET_COMMON_DISCRETE_DISTRIBUTION_H_
 #define FASTCORESET_COMMON_DISCRETE_DISTRIBUTION_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/fenwick_tree.h"
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 
 namespace fastcoreset {
@@ -61,9 +66,33 @@ class DiscreteDistribution {
   /// be positive; consumes exactly one rng.NextDouble().
   size_t Sample(Rng& rng) const { return tree_.Sample(rng); }
 
-  /// Smallest slot whose prefix sum exceeds `target` (see
-  /// FenwickTree::UpperBound); exposed for sorted-target sweeps.
-  size_t UpperBound(double target) const { return tree_.UpperBound(target); }
+  /// The same draws as `count` calls of Sample, leaving `rng` in the same
+  /// state. The targets are drawn serially on the calling thread; their
+  /// descents are resolved in FenwickTree::kBatch lanes, chunks of them
+  /// on the pool.
+  std::vector<size_t> SampleMany(Rng& rng, size_t count) const {
+    std::vector<size_t> draws(count);
+    if (count == 0) return draws;
+    const double total = Total();
+    FC_CHECK_MSG(total > 0.0, "cannot sample from an all-zero FenwickTree");
+    std::vector<double> targets(count);
+    for (double& target : targets) target = rng.NextDouble() * total;
+    ParallelFor(count, [&](size_t begin, size_t end) {
+      for (size_t b = begin; b < end; b += FenwickTree::kBatch) {
+        const size_t lanes = std::min(FenwickTree::kBatch, end - b);
+        tree_.UpperBoundBatch({targets.data() + b, lanes},
+                              {draws.data() + b, lanes});
+      }
+    });
+    return draws;
+  }
+
+  /// FenwickTree::UpperBoundBatch: the slots `targets` (at most
+  /// FenwickTree::kBatch, each in [0, Total())) map to.
+  void UpperBoundBatch(std::span<const double> targets,
+                       std::span<size_t> out) const {
+    tree_.UpperBoundBatch(targets, out);
+  }
 
  private:
   FenwickTree tree_;

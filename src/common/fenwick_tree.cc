@@ -1,0 +1,42 @@
+#include "src/common/fenwick_tree.h"
+
+#include <bit>
+#include <cstdint>
+
+namespace fastcoreset {
+
+void FenwickTree::UpperBoundBatch(std::span<const double> targets,
+                                  std::span<size_t> out) const {
+  const size_t lanes = targets.size();
+  FC_DCHECK(lanes <= kBatch && out.size() >= lanes);
+  FC_DCHECK(!values_.empty());
+  // A lane's position and remainder sit side by side: each level reads
+  // and rewrites one 16-byte record per lane. Two parallel arrays ran
+  // about 3x slower on a 200k-slot tree (x86-64, GCC 12, -O3).
+  struct Lane {
+    size_t pos;
+    double rem;
+  };
+  Lane lane[kBatch] = {};
+  for (size_t j = 0; j < lanes; ++j) lane[j] = {0, targets[j]};
+  const size_t nodes = tree_.size();
+  const double* tree = tree_.data();
+  for (size_t step = std::bit_floor(values_.size()); step > 0; step >>= 1) {
+    for (size_t j = 0; j < lanes; ++j) {
+      // All-ones masks select without a branch; an out-of-range probe
+      // reads the unused node 0 and is never taken.
+      const size_t next = lane[j].pos + step;
+      const uint64_t inside = uint64_t{0} - uint64_t{next < nodes};
+      const double node = tree[next & inside];
+      const double rem = lane[j].rem;
+      const uint64_t take = inside & (uint64_t{0} - uint64_t{node <= rem});
+      const uint64_t kept = std::bit_cast<uint64_t>(rem);
+      const uint64_t taken = std::bit_cast<uint64_t>(rem - node);
+      lane[j].pos += step & take;
+      lane[j].rem = std::bit_cast<double>((taken & take) | (kept & ~take));
+    }
+  }
+  for (size_t j = 0; j < lanes; ++j) out[j] = StepOffZeroMass(lane[j].pos);
+}
+
+}  // namespace fastcoreset

@@ -7,6 +7,7 @@
 #define FASTCORESET_COMMON_FENWICK_TREE_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/common/check.h"
@@ -68,8 +69,15 @@ class FenwickTree {
   /// Total mass.
   double Total() const { return PrefixSum(values_.size()); }
 
+  /// Most targets one UpperBoundBatch call resolves.
+  static constexpr size_t kBatch = 64;
+
   /// Smallest index i such that the prefix sum through slot i exceeds
   /// `target`. Requires 0 <= target < Total(). Skips zero-weight slots.
+  ///
+  /// One serial descent: its branches let the core speculate down the
+  /// tree, which a lone branch-free descent cannot, so a single draw
+  /// stays on this path.
   size_t UpperBound(double target) const {
     size_t pos = 0;
     size_t mask = 1;
@@ -81,26 +89,17 @@ class FenwickTree {
         pos = next;
       }
     }
-    // pos is the count of slots whose cumulative mass is <= target, i.e.
-    // the sampled index. Floating-point drift (target rounding up to
-    // Total()) can push pos past the end or onto a slot whose own mass is
-    // zero — a slot that exact arithmetic can never select and whose
-    // selection corrupts the sampling distribution (e.g. a covered point
-    // in Fast-kmeans++). Clamp, then step to the nearest positive slot:
-    // backward first (a zero slot shares its prefix sum with its
-    // predecessor, so the overshot mass belongs to an earlier slot),
-    // forward only if the whole prefix is massless.
-    if (pos >= values_.size()) pos = values_.size() - 1;
-    if (values_[pos] == 0.0) {
-      size_t back = pos;
-      while (back > 0 && values_[back] == 0.0) --back;
-      if (values_[back] > 0.0) return back;
-      size_t fwd = pos;
-      while (fwd + 1 < values_.size() && values_[fwd] == 0.0) ++fwd;
-      return fwd;
-    }
-    return pos;
+    return StepOffZeroMass(pos);
   }
+
+  /// UpperBound of each of `targets` (at most kBatch) into `out`, with
+  /// results identical to one UpperBound call per target. The descents
+  /// run level by level across all lanes, so up to kBatch independent
+  /// loads are in flight instead of one chain of dependent ones. Each
+  /// lane is branch-free: a random target makes every level's "take this
+  /// node" decision a coin flip that a branch would mispredict.
+  void UpperBoundBatch(std::span<const double> targets,
+                       std::span<size_t> out) const;
 
   /// Samples an index proportional to the stored values. Total() must be > 0.
   size_t Sample(Rng& rng) const {
@@ -110,6 +109,27 @@ class FenwickTree {
   }
 
  private:
+  /// Maps a descent's landing slot `pos` (the count of slots whose
+  /// cumulative mass is <= target) to the sampled index. Floating-point
+  /// drift (target rounding up to Total()) can push pos past the end or
+  /// onto a slot whose own mass is zero — a slot that exact arithmetic
+  /// can never select and whose selection corrupts the sampling
+  /// distribution (e.g. a covered point in Fast-kmeans++). Clamp, then
+  /// step to the nearest positive slot: backward first (a zero slot
+  /// shares its prefix sum with its predecessor, so the overshot mass
+  /// belongs to an earlier slot), forward only if the whole prefix is
+  /// massless.
+  size_t StepOffZeroMass(size_t pos) const {
+    if (pos >= values_.size()) pos = values_.size() - 1;
+    if (values_[pos] != 0.0) return pos;
+    size_t back = pos;
+    while (back > 0 && values_[back] == 0.0) --back;
+    if (values_[back] > 0.0) return back;
+    size_t fwd = pos;
+    while (fwd + 1 < values_.size() && values_[fwd] == 0.0) ++fwd;
+    return fwd;
+  }
+
   std::vector<double> values_;
   std::vector<double> tree_;
 };

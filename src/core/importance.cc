@@ -69,16 +69,16 @@ Coreset SampleByImportance(const Matrix& points,
   FC_CHECK_MSG(scores.total > 0.0, "importance scores sum to zero");
 
   // O(n) bulk build of the sigma distribution, then m draws at O(log n)
-  // each. A sigma == 0 point owns a zero-width interval of the cumulative
-  // distribution and its coreset weight would divide by sigma, so the
-  // distribution's zero-slot stepping (FenwickTree::UpperBound) attributes
-  // any boundary-drifted target to the nearest positive-sigma point.
+  // each, their descents batched on the pool. A sigma == 0 point owns a
+  // zero-width interval of the cumulative distribution and its coreset
+  // weight would divide by sigma, so the distribution's zero-slot stepping
+  // (FenwickTree::UpperBound) attributes any boundary-drifted target to
+  // the nearest positive-sigma point.
   const DiscreteDistribution distribution(scores.sigma);
 
   // Draws in rng order, then sorted: runs of equal indices are the
   // repeated draws of one point, in ascending point order.
-  std::vector<size_t> draws(m);
-  for (size_t& draw : draws) draw = distribution.Sample(rng);
+  std::vector<size_t> draws = distribution.SampleMany(rng, m);
   std::sort(draws.begin(), draws.end());
   std::vector<size_t> run_starts;
   for (size_t r = 0; r < m; ++r) {

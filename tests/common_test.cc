@@ -11,6 +11,7 @@
 #include "src/common/discrete_distribution.h"
 #include "src/common/env.h"
 #include "src/common/fenwick_tree.h"
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table_printer.h"
@@ -122,16 +123,30 @@ TEST(FenwickTest, PrefixSumsMatchBruteForce) {
   }
 }
 
+// UpperBound(target) after checking that UpperBoundBatch agrees, both
+// as a lone lane and in every lane of a full batch.
+size_t CheckedUpperBound(const FenwickTree& tree, double target) {
+  const size_t serial = tree.UpperBound(target);
+  size_t single = 0;
+  tree.UpperBoundBatch({&target, 1}, {&single, 1});
+  EXPECT_EQ(single, serial) << "target " << target;
+  const std::vector<double> targets(FenwickTree::kBatch, target);
+  std::vector<size_t> batched(FenwickTree::kBatch);
+  tree.UpperBoundBatch(targets, batched);
+  for (size_t slot : batched) EXPECT_EQ(slot, serial) << "target " << target;
+  return serial;
+}
+
 TEST(FenwickTest, UpperBoundFindsCorrectSlot) {
   FenwickTree tree(4);
   tree.Set(0, 1.0);
   tree.Set(1, 0.0);
   tree.Set(2, 2.0);
   tree.Set(3, 1.0);
-  EXPECT_EQ(tree.UpperBound(0.5), 0u);
-  EXPECT_EQ(tree.UpperBound(1.5), 2u);  // Skips the zero-weight slot.
-  EXPECT_EQ(tree.UpperBound(2.9), 2u);
-  EXPECT_EQ(tree.UpperBound(3.5), 3u);
+  EXPECT_EQ(CheckedUpperBound(tree, 0.5), 0u);
+  EXPECT_EQ(CheckedUpperBound(tree, 1.5), 2u);  // Skips the zero-weight slot.
+  EXPECT_EQ(CheckedUpperBound(tree, 2.9), 2u);
+  EXPECT_EQ(CheckedUpperBound(tree, 3.5), 3u);
 }
 
 TEST(FenwickTest, UpperBoundDriftNeverLandsOnZeroMassSlot) {
@@ -142,16 +157,16 @@ TEST(FenwickTest, UpperBoundDriftNeverLandsOnZeroMassSlot) {
   FenwickTree tree(2);
   tree.Set(0, 1.0);
   tree.Set(1, 0.0);
-  EXPECT_EQ(tree.UpperBound(1.0), 0u);  // target == Total(), zero tail.
-  EXPECT_EQ(tree.UpperBound(1.5), 0u);  // past Total().
+  EXPECT_EQ(CheckedUpperBound(tree, 1.0), 0u);  // target == Total(), zero tail.
+  EXPECT_EQ(CheckedUpperBound(tree, 1.5), 0u);  // past Total().
 
   // Longer zero-mass tail (the common shape: covered suffix).
   FenwickTree tail(5);
   tail.Set(0, 0.5);
   tail.Set(1, 2.5);
   for (size_t i = 2; i < 5; ++i) tail.Set(i, 0.0);
-  EXPECT_EQ(tail.UpperBound(3.0), 1u);
-  EXPECT_EQ(tail.UpperBound(100.0), 1u);
+  EXPECT_EQ(CheckedUpperBound(tail, 3.0), 1u);
+  EXPECT_EQ(CheckedUpperBound(tail, 100.0), 1u);
 }
 
 TEST(FenwickTest, UpperBoundZeroPrefixFallsForward) {
@@ -162,8 +177,64 @@ TEST(FenwickTest, UpperBoundZeroPrefixFallsForward) {
   tree.Set(1, 0.0);
   tree.Set(2, 0.0);
   tree.Set(3, 4.0);
-  EXPECT_EQ(tree.UpperBound(0.0), 3u);
-  EXPECT_EQ(tree.UpperBound(3.9), 3u);
+  EXPECT_EQ(CheckedUpperBound(tree, 0.0), 3u);
+  EXPECT_EQ(CheckedUpperBound(tree, 3.9), 3u);
+}
+
+TEST(FenwickTest, UpperBoundBatchMatchesSerialDescent) {
+  // Every batch width over trees around the power-of-two edges, with
+  // zero-mass runs, at targets on 0, on every exact prefix boundary, on
+  // Total() and past it, and uniform in [0, Total()).
+  Rng rng(67);
+  for (const size_t n : {1, 2, 3, 63, 64, 65, 4097}) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = rng.NextDouble() < 0.25 ? 0.0 : rng.NextDouble();
+    }
+    const FenwickTree tree(values);
+    const double total = tree.Total();
+    std::vector<double> targets = {0.0, total, total * (1.0 + 1e-12),
+                                   total + 1.0};
+    for (size_t i = 1; i < n; ++i) targets.push_back(tree.PrefixSum(i));
+    for (int i = 0; i < 200; ++i) targets.push_back(rng.NextDouble() * total);
+    std::vector<size_t> expected(targets.size());
+    for (size_t t = 0; t < targets.size(); ++t) {
+      expected[t] = tree.UpperBound(targets[t]);
+    }
+    for (size_t width = 1; width <= FenwickTree::kBatch; ++width) {
+      std::vector<size_t> batched(targets.size());
+      for (size_t b = 0; b < targets.size(); b += width) {
+        const size_t lanes = std::min(width, targets.size() - b);
+        tree.UpperBoundBatch({targets.data() + b, lanes},
+                             {batched.data() + b, lanes});
+      }
+      ASSERT_EQ(batched, expected) << "n " << n << " width " << width;
+    }
+  }
+}
+
+TEST(DiscreteDistributionTest, SampleManyMatchesRepeatedSample) {
+  Rng wrng(71);
+  std::vector<double> weights(10000);
+  for (double& w : weights) {
+    w = wrng.NextDouble() < 0.1 ? 0.0 : wrng.NextDouble();
+  }
+  const DiscreteDistribution dist(weights);
+  // 20001 draws span several pool chunks, and neither the chunks nor the
+  // tail are whole batches.
+  for (const size_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const size_t count : {0, 1, 63, 20001}) {
+      Rng serial_rng(73), batched_rng(73);
+      std::vector<size_t> serial(count);
+      for (size_t& draw : serial) draw = dist.Sample(serial_rng);
+      EXPECT_EQ(dist.SampleMany(batched_rng, count), serial)
+          << "threads " << threads << " count " << count;
+      EXPECT_EQ(batched_rng.NextU64(), serial_rng.NextU64())
+          << "threads " << threads << " count " << count;
+    }
+  }
+  ResetNumThreads();
 }
 
 TEST(FenwickTest, SampleProportionalToWeights) {
