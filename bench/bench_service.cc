@@ -1,8 +1,8 @@
 // Service-layer throughput bench: requests/sec through CoresetService for
 // cold builds (distinct seeds -> every request misses and builds) vs
 // cached builds (one request repeated -> every request hits), at 1 and 4
-// shards, plus the task-graph shard-overlap ratio (the same shards=4
-// rebuild scheduled concurrently vs sequentially at 4 pool threads), plus
+// shards, plus the shard-overlap ratio (the same shards=4 rebuild
+// scheduled concurrently vs sequentially at 4 pool threads), plus
 // the socket-transport cached throughput (4 concurrent loopback clients
 // pipelining the warmed request through NetServer).
 // Emits BENCH_service.json; the CI perf gate compares its "gate" ratios
@@ -84,10 +84,10 @@ Cell Measure(service::CoresetService& svc, size_t k, size_t shards,
   return cell;
 }
 
-/// Shard-overlap ratio: the same shards=4 rebuild driven through the
-/// task-graph scheduler sequentially (parallelism = 1, one shard at a
-/// time, each on the full pool) vs concurrently (parallelism = 0, shards
-/// overlap on budget slices), best-of-`runs` wall clock each, at a pinned
+/// Shard-overlap ratio: the same shards=4 rebuild with its shard builds
+/// run sequentially (parallelism = 1, one shard at a time, each on the
+/// full pool) vs concurrently (parallelism = 0, shards overlap on budget
+/// slices), best-of-`runs` wall clock each, at a pinned
 /// 4-thread pool (the CI bench env does not set FC_THREADS). Returns
 /// sequential_wall / concurrent_wall — above 1.0 means overlapping the
 /// shards beat running them one after another on the same machine.

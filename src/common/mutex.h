@@ -66,7 +66,6 @@ inline constexpr int kNetServer = 5;          ///< NetServer sessions/queue.
 inline constexpr int kServiceScheduler = 10;  ///< CoresetService totals.
 inline constexpr int kDatasetStore = 20;      ///< DatasetStore bindings.
 inline constexpr int kCoresetCache = 30;      ///< CoresetCache LRU state.
-inline constexpr int kTaskGraph = 50;         ///< TaskGraph ready/running.
 inline constexpr int kPoolDispatch = 60;      ///< ThreadPool dispatch.
 
 }  // namespace lock_rank

@@ -69,9 +69,9 @@ ChunkPlan PlanChunks(size_t n) {
 thread_local bool tls_in_parallel_region = false;
 
 // Per-thread executor cap installed by ParallelBudgetScope. Dispatches
-// from this thread request at most this many executors; the task-graph
-// tier uses it to hand each concurrent coarse task a slice of the
-// worker budget. SIZE_MAX = uncapped.
+// from this thread request at most this many executors; RunTasks uses
+// it to hand each concurrent coarse task a slice of the worker budget.
+// SIZE_MAX = uncapped.
 thread_local size_t tls_executor_budget = SIZE_MAX;
 
 void RunSerial(size_t n, const ChunkPlan& plan,
@@ -324,6 +324,42 @@ ParallelBudgetScope::ParallelBudgetScope(size_t max_executors)
 
 ParallelBudgetScope::~ParallelBudgetScope() {
   tls_executor_budget = previous_;
+}
+
+size_t EffectiveParallelism(size_t parallelism) {
+  const size_t threads = GetNumThreads();
+  return parallelism == 0 ? threads
+                          : std::clamp<size_t>(parallelism, 1, threads);
+}
+
+size_t RunTasks(size_t count, size_t parallelism,
+                const std::function<void(size_t)>& task) {
+  const size_t pool_width = GetNumThreads();
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> in_flight{0};
+  std::atomic<size_t> peak{0};
+  const auto executor = [&] {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      const size_t running = in_flight.fetch_add(1) + 1;
+      size_t seen = peak.load();
+      while (seen < running && !peak.compare_exchange_weak(seen, running)) {
+      }
+      {
+        // With R tasks in flight each gets pool_width / R workers (at
+        // least its own thread); a lone task has the whole pool.
+        ParallelBudgetScope scope(std::max<size_t>(1, pool_width / running));
+        task(i);
+      }
+      in_flight.fetch_sub(1);
+    }
+  };
+  const size_t executors =
+      std::min(EffectiveParallelism(parallelism), count);
+  std::vector<std::thread> helpers;
+  for (size_t e = 1; e < executors; ++e) helpers.emplace_back(executor);
+  executor();
+  for (std::thread& helper : helpers) helper.join();
+  return peak.load();
 }
 
 void ShutdownThreadPool() { ThreadPool::Instance().Shutdown(); }

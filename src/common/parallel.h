@@ -21,11 +21,10 @@
 // dispatch owns its own executor group (its own set of chunk queues),
 // the dispatcher always participates in its own group, and parked
 // workers join whichever group is still short of its requested executor
-// count. This is what the task-graph tier (src/common/task_graph.h)
-// builds on — N independent coarse tasks each dispatch their inner
-// chunk loops here, capped to a slice of the worker budget via
-// ParallelBudgetScope, so the groups partition the pool instead of
-// serializing behind one dispatch slot.
+// count. This is what RunTasks builds on — N independent coarse tasks
+// (shard builds) each dispatch their inner chunk loops here, capped to a
+// slice of the worker budget via ParallelBudgetScope, so the groups
+// partition the pool instead of serializing behind one dispatch slot.
 //
 // Nested parallelism is safe but serial: a body that itself calls into
 // the substrate runs that inner loop inline on the calling thread — the
@@ -71,9 +70,9 @@ size_t MaxParallelism();
 /// request at most `max_executors` executors (the calling thread plus
 /// pool workers) regardless of GetNumThreads(). A cap of 0 or 1 runs
 /// dispatches inline. Scopes nest; the inner scope may only tighten the
-/// cap. This is how the task-graph tier hands each concurrent coarse
-/// task a slice of the worker budget — chunk geometry is a function of n
-/// alone, so the cap affects scheduling only, never results.
+/// cap. This is how RunTasks hands each concurrent coarse task a slice
+/// of the worker budget — chunk geometry is a function of n alone, so
+/// the cap affects scheduling only, never results.
 class ParallelBudgetScope {
  public:
   explicit ParallelBudgetScope(size_t max_executors);
@@ -84,6 +83,28 @@ class ParallelBudgetScope {
  private:
   size_t previous_;
 };
+
+/// The effective coarse-task concurrency for a requested budget: 0 means
+/// GetNumThreads(); anything else is clamped to [1, GetNumThreads()].
+size_t EffectiveParallelism(size_t parallelism);
+
+/// Fork-join over independent coarse tasks: runs task(i) for every i in
+/// [0, count) on up to EffectiveParallelism(parallelism) executors, the
+/// caller being one of them, and returns once every task has finished.
+/// Tasks are claimed in index order, so parallelism = 1 runs them in
+/// order on the caller with no extra thread. The budget caps how many
+/// tasks overlap, not the pool width: each running task executes under a
+/// ParallelBudgetScope of max(1, GetNumThreads() / tasks_in_flight), so
+/// the two tiers together never oversubscribe the pool beyond the
+/// integer-division slack. Tasks must not throw; a failing task records
+/// its failure in caller-owned state (one slot per index). Returns the
+/// peak number of tasks in flight.
+///
+/// ShutdownThreadPool() concurrent with RunTasks is safe: a task's inner
+/// dispatches drain on its own executor thread, they only lose their
+/// pool workers until the pool lazily re-initializes.
+size_t RunTasks(size_t count, size_t parallelism,
+                const std::function<void(size_t)>& task);
 
 /// Joins and discards the persistent pool's worker threads. The next
 /// multi-threaded dispatch re-initializes the pool lazily, so this is

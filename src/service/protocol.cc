@@ -394,8 +394,8 @@ std::string HandleBuild(CoresetService& service, const JsonValue& request,
   out.String("dataset", build.dataset);
   out.String("cache", diag.cache_status);
   out.Integer("shards", diag.shard_count);
-  // Effective scheduler budget: 0 on a cache hit (no graph ran).
-  out.Integer("parallelism", diag.scheduler.parallelism);
+  // Effective shard-concurrency budget: 0 on a cache hit (no build ran).
+  out.Integer("parallelism", diag.parallelism);
   out.Integer("rows", built.coreset.size());
   out.Integer("dims", built.coreset.points.cols());
   out.Number("total_weight", built.total_weight);
@@ -403,7 +403,7 @@ std::string HandleBuild(CoresetService& service, const JsonValue& request,
   out.Integer("points_processed", diag.points_processed);
   out.Integer("bytes_processed", diag.bytes_processed);
   // build_seconds is summed shard + merge work; critical_path_seconds is
-  // the graph run's wall clock (they differ when shards overlap).
+  // the sharded build's wall clock (they differ when shards overlap).
   out.Number("build_seconds", diag.build_seconds);
   out.Number("critical_path_seconds", diag.critical_path_seconds);
   out.Number("seconds", diag.total_seconds);

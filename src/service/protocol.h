@@ -17,13 +17,13 @@
 // changes) and carries an "ok" field; failures carry the FcStatus
 // taxonomy ({"v":1,"ok":false,"code":"invalid_argument","message":...})
 // and never terminate the server. Build responses carry the cache
-// status, shard-aggregated accounting, the scheduler's effective
-// parallelism + critical-path wall clock, and a coreset fingerprint
-// (bit-identity witness); "parallelism" caps the task-graph worker
-// budget (0 = all workers) without changing the result. Pass
+// status, shard-aggregated accounting, the effective shard-concurrency
+// budget + critical-path wall clock, and a coreset fingerprint
+// (bit-identity witness); "parallelism" caps how many shards build at
+// once (0 = all workers) without changing the result. Pass
 // "output":"path.csv" to also persist the coreset via SaveCoresetCsv.
 // The stats verb reports cache counters, registered datasets, lifetime
-// task-graph scheduler totals, and the attached transport's load gauges
+// sharded-build scheduler totals, and the attached transport's load gauges
 // (queue_depth / sessions_active / requests_rejected — all zero in
 // stdin/stdout mode). Unknown fields are rejected — a typoed knob must
 // fail loudly, not silently fall back to a default. The "options" keys of

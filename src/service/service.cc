@@ -73,7 +73,6 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
       BuildSharded(request.spec, points, shards, request.parallelism);
   if (!built.ok()) return built.status();
   static_cast<ShardedBuildDiagnostics&>(diag) = std::move(built->diagnostics);
-  diag.parallelism_requested = request.parallelism;
   // Summed CPU-side work: with concurrent shards this exceeds
   // critical_path_seconds — exactly the point of the comparison.
   for (const ShardDiagnostics& shard : diag.shards) {
@@ -84,13 +83,12 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
   {
     MutexLock lock(scheduler_mutex_);
     ++scheduler_totals_.graphs_run;
-    scheduler_totals_.tasks_executed += diag.scheduler.tasks_executed;
+    scheduler_totals_.tasks_executed += shards + (diag.has_merge ? 1 : 0);
     scheduler_totals_.max_concurrent_shards =
         std::max(scheduler_totals_.max_concurrent_shards,
-                 diag.scheduler.max_concurrent_tasks);
+                 diag.max_concurrent_shards);
     scheduler_totals_.queue_high_water =
-        std::max(scheduler_totals_.queue_high_water,
-                 diag.scheduler.queue_high_water);
+        std::max(scheduler_totals_.queue_high_water, shards);
   }
 
   // The coreset moves into the entry, whose constructor derives the

@@ -38,10 +38,9 @@ struct BuildRequest {
   std::string dataset;
   api::CoresetSpec spec;
   size_t shards = 1;
-  /// Parallelism budget for the task-graph scheduler that runs the shard
-  /// build: caps how many shards build concurrently (0 = all workers,
-  /// GetNumThreads()); the shards in flight partition the pool's workers
-  /// between them. 1 = the sequential reference walk — one shard at a
+  /// Parallelism budget for the sharded build: caps how many shards
+  /// build concurrently (0 = all workers, GetNumThreads()); the shards
+  /// in flight partition the pool's workers between them. 1 = the sequential reference walk — one shard at a
   /// time, each on the full pool. Validated against MaxParallelism();
   /// NEVER part of the cache key, because the budget only changes the
   /// schedule — the result is bit-identical at any value.
@@ -52,17 +51,16 @@ struct BuildRequest {
 };
 
 /// What the service did for one request: the planner's sharded-build
-/// record (shard windows, merge accounting, scheduler counters, volumes,
+/// record (shard windows, merge accounting, shard concurrency, volumes,
 /// critical path) plus the service's own fields. On a cache hit the
 /// inherited record stays empty — no shards, zero points_processed and
-/// scheduler counters — the proof that no rebuild happened.
+/// parallelism — the proof that no rebuild happened.
 struct ServiceDiagnostics : ShardedBuildDiagnostics {
   std::string dataset;
   uint64_t dataset_fingerprint = 0;
   std::string cache_key;     ///< Full composite key the cache used.
   std::string cache_status;  ///< "hit" | "miss" | "bypass".
   size_t shard_count = 1;    ///< Effective (clamped) shard count.
-  size_t parallelism_requested = 0;  ///< Budget as asked for (0 = all).
   /// Summed CPU-side build work: Σ shard build seconds + merge seconds.
   /// With concurrent shards this EXCEEDS elapsed time — compare against
   /// critical_path_seconds to see the overlap.
@@ -105,9 +103,12 @@ class CoresetService {
 
   CoresetCache::Stats CacheStats() const { return cache_.stats(); }
 
-  /// Lifetime task-graph totals across every build this service ran
-  /// (cache hits run no graph and add nothing). High-water fields are
-  /// maxima across runs; the rest are sums. For the stats verb.
+  /// Lifetime totals across every sharded build this service ran (cache
+  /// hits build nothing and add nothing). High-water fields are maxima
+  /// across builds; the rest are sums. For the stats verb: each build is
+  /// one fork-join (graphs_run) of `shards` shard tasks plus one merge
+  /// task when shards > 1 (tasks_executed). Every shard is ready at once,
+  /// so queue_high_water is the largest shard count built.
   struct SchedulerTotals {
     size_t graphs_run = 0;
     size_t tasks_executed = 0;

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "src/api/fastcoreset.h"
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
-#include "src/common/task_graph.h"
 #include "src/common/timer.h"
 
 namespace fastcoreset {
@@ -23,10 +23,10 @@ Matrix SliceRows(const Matrix& points, const ShardRange& range) {
   return slice;
 }
 
-/// One shard node's product (node bodies cannot return a status — each
-/// records it in its own slot for assembly after the graph drains; slots
-/// are written by exactly one node). Diagnostics go straight into the
-/// result's ShardDiagnostics slot.
+/// One shard task's product (tasks cannot return a status — each records
+/// it in its own slot for the join; slots are written by exactly one
+/// task). Diagnostics go straight into the result's ShardDiagnostics
+/// slot.
 struct ShardOutcome {
   api::FcStatus status;  ///< Ok unless this shard's build failed.
   Coreset coreset;       ///< Indices already remapped to dataset rows.
@@ -81,9 +81,9 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
   const std::vector<ShardRange> plan = PlanShards(points.rows(), shard_count);
   const size_t shards = plan.size();
 
-  // Per-shard result slots: graph nodes write only their own index (and
+  // Per-shard result slots: shard tasks write only their own index (and
   // their own ShardDiagnostics), so concurrent execution needs no locking
-  // here, and the post-run assembly reads them in fixed shard order.
+  // here, and the merge reads them in fixed shard order after the join.
   Timer wall;
   ShardedBuildResult result;
   ShardedBuildDiagnostics& diag = result.diagnostics;
@@ -101,108 +101,82 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
                             : DeriveBuildSeed(spec.seed, kShardSeedDomain, i);
   }
   diag.has_merge = shards > 1;
-  api::FcStatus merge_status;
 
-  // The graph: one build node per shard (independent, internally
-  // parallel on its budget slice) plus, for shards > 1, a merge node
-  // that waits on every shard edge. The schedule decides only WHEN a
-  // node runs: seeds are derived per shard and the merge consumes shard
-  // coresets in fixed shard order, so concurrent execution is
-  // bit-identical to the sequential walk.
-  TaskGraph graph;
-  std::vector<TaskGraph::TaskId> shard_nodes;
-  shard_nodes.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shard_nodes.push_back(graph.AddTask([&spec, &points, &plan, &built,
-                                         &diag, &wall, i] {
-      ShardDiagnostics& slot = diag.shards[i];
-      slot.start_seconds = wall.Seconds();
-      api::CoresetSpec sub_spec = spec;
-      sub_spec.seed = slot.seed;
-      if (!spec.weights.empty()) {
-        sub_spec.weights.assign(spec.weights.begin() + plan[i].begin,
-                                spec.weights.begin() + plan[i].end);
-      }
-      api::FcStatusOr<api::BuildResult> shard_built =
-          api::Build(sub_spec, SliceRows(points, plan[i]));
-      if (!shard_built.ok()) {
-        built[i].status = shard_built.status();
-      } else {
-        // Shard-local indices -> dataset rows.
-        for (size_t& index : shard_built->coreset.indices) {
-          if (index != Coreset::kSyntheticIndex) index += plan[i].begin;
+  // Fork: one independent build per shard, each internally parallel on
+  // its budget slice. The schedule decides only WHEN a shard builds:
+  // seeds are derived per shard and the merge consumes shard coresets in
+  // fixed shard order, so concurrent execution is bit-identical to the
+  // sequential walk.
+  diag.parallelism = EffectiveParallelism(parallelism);
+  diag.max_concurrent_shards = RunTasks(
+      shards, diag.parallelism,
+      [&spec, &points, &plan, &built, &diag, &wall](size_t i) {
+        ShardDiagnostics& slot = diag.shards[i];
+        slot.start_seconds = wall.Seconds();
+        api::CoresetSpec sub_spec = spec;
+        sub_spec.seed = slot.seed;
+        if (!spec.weights.empty()) {
+          sub_spec.weights.assign(spec.weights.begin() + plan[i].begin,
+                                  spec.weights.begin() + plan[i].end);
         }
-        built[i].coreset = std::move(shard_built->coreset);
-        slot.build = std::move(shard_built->diagnostics);
-      }
-      slot.end_seconds = wall.Seconds();
-    }));
-  }
+        api::FcStatusOr<api::BuildResult> shard_built =
+            api::Build(sub_spec, SliceRows(points, plan[i]));
+        if (!shard_built.ok()) {
+          built[i].status = shard_built.status();
+        } else {
+          // Shard-local indices -> dataset rows.
+          for (size_t& index : shard_built->coreset.indices) {
+            if (index != Coreset::kSyntheticIndex) index += plan[i].begin;
+          }
+          built[i].coreset = std::move(shard_built->coreset);
+          slot.build = std::move(shard_built->diagnostics);
+        }
+        slot.end_seconds = wall.Seconds();
+      });
 
-  if (shards > 1) {
-    graph.AddTask(
-        [&spec, &built, &diag, &merge_status, &result, shards] {
-          // A failed shard makes the merge moot; the failure itself is
-          // surfaced (in shard order) by the assembly below.
-          for (size_t i = 0; i < shards; ++i) {
-            if (!built[i].status.ok()) {
-              merge_status = built[i].status;
-              return;
-            }
-          }
-          // Merge node: one more api::Build, over the weighted union of
-          // the shard coresets in fixed shard order (that union is itself
-          // a coreset of the dataset, so one reduce suffices). Zero-weight
-          // rows carry no mass and some methods (bico's CF tree) reject
-          // them, so they are left out. `union_to_dataset` maps union rows
-          // back to original dataset rows.
-          api::CoresetSpec merge_spec = spec;
-          merge_spec.weights.clear();
-          merge_spec.seed =
-              DeriveBuildSeed(spec.seed, kMergeSeedDomain, shards);
-          Matrix shard_union;
-          std::vector<size_t> union_to_dataset;
-          for (size_t i = 0; i < shards; ++i) {
-            const Coreset& shard = built[i].coreset;
-            std::vector<size_t> keep;
-            for (size_t r = 0; r < shard.size(); ++r) {
-              if (shard.weights[r] <= 0.0) continue;
-              keep.push_back(r);
-              union_to_dataset.push_back(shard.indices[r]);
-              merge_spec.weights.push_back(shard.weights[r]);
-            }
-            shard_union.AppendRows(shard.points.SelectRows(keep));
-          }
-          api::FcStatusOr<api::BuildResult> merged =
-              api::Build(merge_spec, shard_union);
-          if (!merged.ok()) {
-            merge_status = merged.status();
-            return;
-          }
-          for (size_t& index : merged->coreset.indices) {
-            if (index != Coreset::kSyntheticIndex) {
-              index = union_to_dataset[index];
-            }
-          }
-          result.coreset = std::move(merged->coreset);
-          diag.merge = std::move(merged->diagnostics);
-        },
-        shard_nodes);
-  }
-
-  diag.scheduler = graph.Run(parallelism);
-  diag.critical_path_seconds = wall.Seconds();
-
-  // The first failed shard's status wins (matching the sequential walk),
-  // then the merge's.
+  // Join: the first failed shard's status wins (matching the sequential
+  // walk) and makes the merge moot.
   for (size_t i = 0; i < shards; ++i) {
     if (!built[i].status.ok()) return built[i].status;
   }
   if (shards == 1) {
     result.coreset = std::move(built[0].coreset);
-  } else if (!merge_status.ok()) {
-    return merge_status;
+  } else {
+    // Merge: one more api::Build on the caller, which has the whole pool
+    // again, over the weighted union of the shard coresets in fixed
+    // shard order (that union is itself a coreset of the dataset, so one
+    // reduce suffices). Zero-weight rows carry no mass and some methods
+    // (bico's CF tree) reject them, so they are left out.
+    // `union_to_dataset` maps union rows back to original dataset rows.
+    api::CoresetSpec merge_spec = spec;
+    merge_spec.weights.clear();
+    merge_spec.seed = DeriveBuildSeed(spec.seed, kMergeSeedDomain, shards);
+    Matrix shard_union;
+    std::vector<size_t> union_to_dataset;
+    for (size_t i = 0; i < shards; ++i) {
+      const Coreset& shard = built[i].coreset;
+      std::vector<size_t> keep;
+      for (size_t r = 0; r < shard.size(); ++r) {
+        if (shard.weights[r] <= 0.0) continue;
+        keep.push_back(r);
+        union_to_dataset.push_back(shard.indices[r]);
+        merge_spec.weights.push_back(shard.weights[r]);
+      }
+      shard_union.AppendRows(shard.points.SelectRows(keep));
+    }
+    api::FcStatusOr<api::BuildResult> merged =
+        api::Build(merge_spec, shard_union);
+    if (!merged.ok()) return merged.status();
+    for (size_t& index : merged->coreset.indices) {
+      if (index != Coreset::kSyntheticIndex) {
+        index = union_to_dataset[index];
+      }
+    }
+    result.coreset = std::move(merged->coreset);
+    diag.merge = std::move(merged->diagnostics);
   }
+  diag.critical_path_seconds = wall.Seconds();
+
   // The shards partition the rows; the merge reduces their union once.
   diag.points_processed = points.rows() + diag.merge.points_processed;
   diag.bytes_processed =

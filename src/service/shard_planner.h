@@ -6,19 +6,19 @@
 // shards, each shard is compressed independently (one api::Build per
 // shard, on the persistent thread pool), and the positive-weight rows of
 // the shard coresets, concatenated in shard order, are compressed once
-// more by a single api::Build (the merge node) into the final size-m
+// more by a single api::Build (the merge) into the final size-m
 // coreset, whose indices still refer to the original dataset rows.
 //
-// Execution runs on the task-graph tier (src/common/task_graph.h): one
-// graph node per shard build plus a merge node that waits on every shard
-// edge, scheduled over up to `parallelism` node executors, each shard's
-// inner chunk dispatches capped to a slice of the worker budget.
+// Execution is a fork-join (RunTasks, src/common/parallel.h): the shard
+// builds run on up to `parallelism` executors, each shard's inner chunk
+// dispatches capped to a slice of the worker budget; after the join the
+// merge runs on the caller with the whole pool.
 //
-// Diagnostics: every node writes its accounting in place into the
-// result's ShardedBuildDiagnostics — each shard node its own
-// ShardDiagnostics slot, the merge node the merge record (its build's
-// own BuildDiagnostics) — and ServiceDiagnostics extends that struct, so
-// the numbers reach the wire without being copied from struct to struct.
+// Diagnostics: every build writes its accounting in place into the
+// result's ShardedBuildDiagnostics — each shard its own ShardDiagnostics
+// slot, the merge the merge record (its build's own BuildDiagnostics) —
+// and ServiceDiagnostics extends that struct, so the numbers reach the
+// wire without being copied from struct to struct.
 //
 // Determinism contract: each shard's build seeds a fresh Rng with
 // DeriveBuildSeed(spec.seed, kShardSeedDomain, shard_index), the merge
@@ -38,7 +38,6 @@
 #include "src/api/diagnostics.h"
 #include "src/api/spec.h"
 #include "src/api/status.h"
-#include "src/common/task_graph.h"
 #include "src/geometry/matrix.h"
 
 namespace fastcoreset {
@@ -80,7 +79,7 @@ struct ShardDiagnostics {
   size_t row_begin = 0;
   size_t row_end = 0;
   uint64_t seed = 0;
-  /// Offsets from the sharded build's start at which this shard's node
+  /// Offsets from the sharded build's start at which this shard's build
   /// began and finished executing.
   double start_seconds = 0.0;
   double end_seconds = 0.0;
@@ -95,11 +94,12 @@ struct ShardedBuildDiagnostics {
   /// The merge build's own diagnostics when has_merge: input_rows is the
   /// positive-weight shard-coreset rows it reduced.
   api::BuildDiagnostics merge;
-  TaskGraph::RunStats scheduler;  ///< Task-graph run counters.
+  size_t parallelism = 0;  ///< Effective shard-concurrency budget.
+  size_t max_concurrent_shards = 0;  ///< Peak shard builds in flight.
   size_t points_processed = 0;  ///< Shard rows + merge input rows.
   size_t bytes_processed = 0;   ///< points_processed * dims * sizeof(double).
-  /// Wall clock of the whole graph run — the critical path through the
-  /// overlapped shard windows plus the merge, NOT the per-shard sum.
+  /// Wall clock of the whole sharded build — the critical path through
+  /// the overlapped shard windows plus the merge, NOT the per-shard sum.
   double critical_path_seconds = 0.0;
 };
 
@@ -110,12 +110,12 @@ struct ShardedBuildResult {
 };
 
 /// Runs the full sharded pipeline: plan, per-shard api::Build with derived
-/// seeds submitted as task-graph nodes, and one api::Build of the weighted
-/// shard-coreset union as the merge node every shard edge feeds.
-/// spec.weights (when non-empty) must match points.rows() and is sliced
-/// per shard. `parallelism` is the worker budget for the graph (0 = all
-/// workers; 1 = the sequential reference walk); it never changes the
-/// result, only the schedule. All request-level failures come back as a
+/// seeds run as concurrent tasks, and, after they join, one api::Build of
+/// the weighted shard-coreset union as the merge. spec.weights (when
+/// non-empty) must match points.rows() and is sliced per shard.
+/// `parallelism` caps how many shards build at once (0 = all workers;
+/// 1 = the sequential reference walk); it never changes the result, only
+/// the schedule. All request-level failures come back as a
 /// status; nothing aborts.
 api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
                                                  const Matrix& points,

@@ -364,10 +364,10 @@ TEST(DeterminismTest, QuadtreeStructureIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, ConcurrentShardBuildsBitIdenticalToSequentialWalk) {
-  // The task-graph tier runs shard builds concurrently; the schedule must
-  // never reach results. Pin concurrent (parallelism = 0, all workers)
-  // against the sequential reference walk (parallelism = 1) bit for bit,
-  // across shard counts and thread counts.
+  // RunTasks runs shard builds concurrently; the schedule must never
+  // reach results. Pin concurrent (parallelism = 0, all workers) against
+  // the sequential reference walk (parallelism = 1) bit for bit, across
+  // shard counts and thread counts.
   const Matrix points = TestPoints(7, 127);
   api::CoresetSpec spec;
   spec.method = "fast_coreset";
@@ -389,9 +389,15 @@ TEST(DeterminismTest, ConcurrentShardBuildsBitIdenticalToSequentialWalk) {
                                               /*parallelism=*/0);
       ASSERT_TRUE(concurrent.ok()) << concurrent.status().message();
       ExpectCoresetsIdentical(sequential, concurrent->coreset);
-      // The scheduler must actually have run every node.
-      EXPECT_EQ(concurrent->diagnostics.scheduler.tasks_executed,
-                shards == 1 ? 1u : shards + 1)
+      // Every shard slot was built, and the merge ran iff shards > 1.
+      const service::ShardedBuildDiagnostics& diag = concurrent->diagnostics;
+      ASSERT_EQ(diag.shards.size(), shards);
+      for (const service::ShardDiagnostics& shard : diag.shards) {
+        EXPECT_GT(shard.build.output_rows, 0u)
+            << "shards=" << shards << " threads=" << threads
+            << " shard=" << shard.index;
+      }
+      EXPECT_EQ(diag.has_merge, shards > 1)
           << "shards=" << shards << " threads=" << threads;
     }
   }

@@ -36,13 +36,11 @@ TEST(MutexRankTest, FullTierChainInOrderIsSilent) {
   Mutex scheduler{lock_rank::kServiceScheduler};
   Mutex store{lock_rank::kDatasetStore};
   Mutex cache{lock_rank::kCoresetCache};
-  Mutex graph{lock_rank::kTaskGraph};
   Mutex pool{lock_rank::kPoolDispatch};
   MutexLock l1(scheduler);
   MutexLock l2(store);
   MutexLock l3(cache);
-  MutexLock l4(graph);
-  MutexLock l5(pool);
+  MutexLock l4(pool);
   SUCCEED();
 }
 
@@ -61,11 +59,11 @@ TEST(MutexRankTest, UnrankedMutexesAreExempt) {
 TEST(MutexRankTest, SequentialReacquisitionIsSilent) {
   // Lock-release-lock of the same ranked mutex must not trip the check:
   // the first hold is popped before the second acquisition.
-  Mutex graph{lock_rank::kTaskGraph};
+  Mutex cache{lock_rank::kCoresetCache};
   {
-    MutexLock hold(graph);
+    MutexLock hold(cache);
   }
-  MutexLock hold_again(graph);
+  MutexLock hold_again(cache);
   SUCCEED();
 }
 
@@ -91,8 +89,8 @@ TEST(MutexRankDeathTest, EqualRankNestingAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
-        Mutex first{lock_rank::kTaskGraph};
-        Mutex second{lock_rank::kTaskGraph};
+        Mutex first{lock_rank::kCoresetCache};
+        Mutex second{lock_rank::kCoresetCache};
         MutexLock hold_first(first);
         MutexLock hold_second(second);
       },

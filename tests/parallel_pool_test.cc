@@ -1,12 +1,13 @@
 // Tests for the persistent thread pool behind ParallelFor/ParallelReduce
-// (parallel.cc) and the task-graph tier above it (task_graph.cc): lazy
+// (parallel.cc) and the RunTasks fork-join tier above it: lazy
 // initialization, reentrancy (nested dispatches run inline instead of
 // deadlocking), worker counts exceeding the chunk count, repeated
 // init/teardown via ShutdownThreadPool, exact coverage of the chunk
 // partition under stealing, concurrent independent dispatches, budget
-// scoping, and shutdown racing a running task graph.
+// scoping, and shutdown racing running coarse tasks.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -15,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/parallel.h"
-#include "src/common/task_graph.h"
 
 namespace fastcoreset {
 namespace {
@@ -230,136 +230,101 @@ TEST(ThreadPoolTest, NestedBudgetScopesOnlyTighten) {
   }
 }
 
-TEST(TaskGraphTest, DependenciesExecuteBeforeDependents) {
+TEST(RunTasksTest, SequentialBudgetRunsInIndexOrderOnTheCaller) {
   ThreadCountGuard guard(4);
-  // A diamond: 0 -> {1, 2} -> 3. Each node records the order stamp it
-  // ran at; edges must be respected at any schedule.
-  std::atomic<size_t> stamp{0};
-  size_t order[4] = {0, 0, 0, 0};
-  TaskGraph graph;
-  const TaskGraph::TaskId a = graph.AddTask(
-      [&] { order[0] = stamp.fetch_add(1, std::memory_order_relaxed); });
-  const TaskGraph::TaskId b = graph.AddTask(
-      [&] { order[1] = stamp.fetch_add(1, std::memory_order_relaxed); },
-      {a});
-  const TaskGraph::TaskId c = graph.AddTask(
-      [&] { order[2] = stamp.fetch_add(1, std::memory_order_relaxed); },
-      {a});
-  graph.AddTask(
-      [&] { order[3] = stamp.fetch_add(1, std::memory_order_relaxed); },
-      {b, c});
-  const TaskGraph::RunStats stats = graph.Run();
-  EXPECT_EQ(stats.tasks_executed, 4u);
-  EXPECT_LT(order[0], order[1]);
-  EXPECT_LT(order[0], order[2]);
-  EXPECT_LT(order[1], order[3]);
-  EXPECT_LT(order[2], order[3]);
-}
-
-TEST(TaskGraphTest, SequentialBudgetWalksInSubmissionOrder) {
-  ThreadCountGuard guard(4);
-  // parallelism = 1 is the sequential reference walk: independent nodes
-  // run in exactly the order they were added (min-heap on task id).
+  // parallelism = 1 is the sequential reference walk: tasks run in index
+  // order, on the calling thread, one at a time.
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> ran;
-  TaskGraph graph;
-  for (size_t i = 0; i < 8; ++i) {
-    graph.AddTask([&ran, i] { ran.push_back(i); });
-  }
-  const TaskGraph::RunStats stats = graph.Run(/*parallelism=*/1);
-  EXPECT_EQ(stats.parallelism, 1u);
-  EXPECT_EQ(stats.max_concurrent_tasks, 1u);
+  bool on_caller = true;
+  const size_t peak = RunTasks(8, /*parallelism=*/1, [&](size_t i) {
+    ran.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(peak, 1u);
+  EXPECT_TRUE(on_caller);
   ASSERT_EQ(ran.size(), 8u);
   for (size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i], i);
 }
 
-TEST(TaskGraphTest, StatsCountersReflectTheRun) {
+TEST(RunTasksTest, EveryTaskRunsOnceAndThePeakStaysWithinTheBudget) {
   ThreadCountGuard guard(4);
-  std::atomic<size_t> executed{0};
-  TaskGraph graph;
-  std::vector<TaskGraph::TaskId> roots;
-  for (size_t i = 0; i < 6; ++i) {
-    roots.push_back(graph.AddTask(
-        [&] { executed.fetch_add(1, std::memory_order_relaxed); }));
-  }
-  graph.AddTask([&] { executed.fetch_add(1, std::memory_order_relaxed); },
-                roots);
-  const TaskGraph::RunStats stats = graph.Run(/*parallelism=*/2);
-  EXPECT_EQ(executed.load(), 7u);
-  EXPECT_EQ(stats.tasks_executed, 7u);
-  EXPECT_EQ(stats.parallelism, 2u);
-  EXPECT_GE(stats.max_concurrent_tasks, 1u);
-  EXPECT_LE(stats.max_concurrent_tasks, 2u);
-  // All 6 roots were ready before any executed.
-  EXPECT_GE(stats.queue_high_water, 6u);
-}
-
-TEST(TaskGraphTest, NodesDispatchingParallelWorkCompose) {
-  ThreadCountGuard guard(4);
-  // Each node runs its own ParallelReduce on a budget slice; results must
-  // be exact regardless of how the slices interleave on the pool.
-  constexpr size_t kNodes = 6;
-  const double expected = SerialReferenceSum(kRows);
-  double sums[kNodes] = {0};
-  TaskGraph graph;
-  for (size_t node = 0; node < kNodes; ++node) {
-    graph.AddTask([&sums, node] {
-      sums[node] = ParallelReduce(kRows, [](size_t begin, size_t end) {
-        double partial = 0.0;
-        for (size_t i = begin; i < end; ++i) {
-          partial += static_cast<double>(i % 97);
-        }
-        return partial;
-      });
+  // 0 means the whole pool (4); budgets above the pool clamp to it.
+  for (size_t parallelism : {0, 1, 2, 3, 4, 100}) {
+    const size_t budget = EffectiveParallelism(parallelism);
+    EXPECT_EQ(budget, parallelism == 0 || parallelism > 4 ? 4u : parallelism);
+    constexpr size_t kTasks = 7;
+    std::atomic<size_t> runs[kTasks] = {};
+    const size_t peak = RunTasks(kTasks, parallelism, [&](size_t i) {
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+      // Linger so executors actually overlap.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     });
+    EXPECT_GE(peak, 1u) << "parallelism " << parallelism;
+    EXPECT_LE(peak, budget) << "parallelism " << parallelism;
+    for (size_t i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(runs[i].load(), 1u) << "parallelism " << parallelism
+                                    << " task " << i;
+    }
   }
-  graph.Run();
-  for (size_t node = 0; node < kNodes; ++node) {
-    EXPECT_EQ(sums[node], expected) << "node " << node;
+  EXPECT_EQ(RunTasks(0, 0, [](size_t) { FAIL() << "no task to run"; }), 0u);
+}
+
+TEST(RunTasksTest, TasksDispatchingParallelWorkCompose) {
+  ThreadCountGuard guard(4);
+  // Each task runs its own ParallelReduce on a budget slice; results must
+  // be exact regardless of how the slices interleave on the pool.
+  constexpr size_t kTasks = 6;
+  const double expected = SerialReferenceSum(kRows);
+  double sums[kTasks] = {0};
+  RunTasks(kTasks, /*parallelism=*/0, [&sums](size_t task) {
+    sums[task] = ParallelReduce(kRows, [](size_t begin, size_t end) {
+      double partial = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        partial += static_cast<double>(i % 97);
+      }
+      return partial;
+    });
+  });
+  for (size_t task = 0; task < kTasks; ++task) {
+    EXPECT_EQ(sums[task], expected) << "task " << task;
   }
 }
 
-TEST(TaskGraphTest, ShutdownRacingARunningGraphNeverDeadlocks) {
-  // The drain-safety regression: ShutdownThreadPool() fired while graph
-  // nodes are mid-flight (some queued, some dispatching chunk work into
-  // the pool). Every dispatcher participates in its own dispatch and
-  // steals all queues, so the graph must complete exactly even when the
-  // pool's workers vanish underneath it — serially if need be.
+TEST(RunTasksTest, ShutdownRacingRunningTasksNeverDeadlocks) {
+  // The drain-safety regression: ShutdownThreadPool() fired while tasks
+  // are mid-flight (some still unclaimed, some dispatching chunk work
+  // into the pool). Every dispatcher participates in its own dispatch
+  // and steals all queues, so every task must complete exactly even when
+  // the pool's workers vanish underneath it — serially if need be.
   for (int round = 0; round < 5; ++round) {
     ThreadCountGuard guard(4);
-    constexpr size_t kNodes = 8;
+    constexpr size_t kTasks = 8;
     std::atomic<size_t> done{0};
-    double sums[kNodes] = {0};
+    double sums[kTasks] = {0};
     const double expected = SerialReferenceSum(kRows);
-    TaskGraph graph;
-    std::vector<TaskGraph::TaskId> deps;
-    for (size_t node = 0; node < kNodes; ++node) {
-      // A dependency chain every other node: keeps nodes queued (not yet
-      // ready) while shutdown fires, exercising the queued-node path.
-      std::vector<TaskGraph::TaskId> node_deps;
-      if (node % 2 == 1) node_deps.push_back(deps.back());
-      deps.push_back(graph.AddTask(
-          [&sums, &done, node] {
-            sums[node] =
-                ParallelReduce(kRows, [](size_t begin, size_t end) {
-                  double partial = 0.0;
-                  for (size_t i = begin; i < end; ++i) {
-                    partial += static_cast<double>(i % 97);
-                  }
-                  return partial;
-                });
-            done.fetch_add(1, std::memory_order_relaxed);
-          },
-          node_deps));
-    }
-    std::thread runner([&graph] { graph.Run(); });
+    // A budget of 2 keeps tasks waiting to be claimed while shutdown
+    // fires.
+    std::thread runner([&sums, &done] {
+      RunTasks(kTasks, /*parallelism=*/2, [&sums, &done](size_t task) {
+        sums[task] = ParallelReduce(kRows, [](size_t begin, size_t end) {
+          double partial = 0.0;
+          for (size_t i = begin; i < end; ++i) {
+            partial += static_cast<double>(i % 97);
+          }
+          return partial;
+        });
+        done.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
     // Fire teardown mid-run (no sleep: the race window is the point —
     // some rounds hit it early, some late).
     ShutdownThreadPool();
     runner.join();
-    ASSERT_EQ(done.load(), kNodes) << "round " << round;
-    for (size_t node = 0; node < kNodes; ++node) {
-      ASSERT_EQ(sums[node], expected) << "round " << round << " node "
-                                      << node;
+    ASSERT_EQ(done.load(), kTasks) << "round " << round;
+    for (size_t task = 0; task < kTasks; ++task) {
+      ASSERT_EQ(sums[task], expected) << "round " << round << " task "
+                                      << task;
     }
     // The pool must still be usable after the race.
     EXPECT_EQ(ParallelReduce(kRows,

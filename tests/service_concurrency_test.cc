@@ -252,11 +252,11 @@ TEST(ServiceConcurrencyTest, InterleavedRegisterBuildEvictStats) {
 }
 
 TEST(ServiceConcurrencyTest, MixedShardedBuildsThroughSchedulerAgree) {
-  // Concurrent application threads drive sharded builds through the
-  // task-graph scheduler with varying parallelism budgets — the budget
-  // and the shard count of OTHER requests in flight must never reach a
-  // build's bits. Bypass the cache so every request really schedules a
-  // graph; all fingerprints for one (dataset, shards) pair must agree.
+  // Concurrent application threads drive sharded builds with varying
+  // parallelism budgets — the budget and the shard count of OTHER
+  // requests in flight must never reach a build's bits. Bypass the cache
+  // so every request really builds; all fingerprints for one (dataset,
+  // shards) pair must agree.
   CoresetService service(ServiceOptions{/*cache_capacity=*/0});
   RegisterShared(service);
 
@@ -282,11 +282,14 @@ TEST(ServiceConcurrencyTest, MixedShardedBuildsThroughSchedulerAgree) {
           ++failures;
           continue;
         }
-        // The scheduler ran one node per shard (+ merge when shards > 1).
-        const size_t shards = response->diagnostics.shard_count;
-        const size_t expected_tasks = shards == 1 ? 1 : shards + 1;
-        if (response->diagnostics.scheduler.tasks_executed !=
-            expected_tasks) {
+        // Every shard slot was built, and the merge ran iff shards > 1.
+        const service::ServiceDiagnostics& diag = response->diagnostics;
+        bool all_built = diag.shards.size() == diag.shard_count &&
+                         diag.has_merge == (diag.shard_count > 1);
+        for (const service::ShardDiagnostics& shard : diag.shards) {
+          all_built = all_built && shard.build.output_rows > 0;
+        }
+        if (!all_built) {
           ++failures;
           continue;
         }

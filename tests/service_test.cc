@@ -894,7 +894,7 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
 
   const std::string build_line =
       R"({"verb":"build","dataset":"p","method":"uniform","k":2,"m":4,)"
-      R"("seed":5,"shards":2})";
+      R"("seed":5,"shards":2,"parallelism":1})";
   const JsonValue first = Handle(build_line);
   ASSERT_TRUE(first.Find("ok")->bool_value())
       << first.Find("message")->string_value();
@@ -908,9 +908,9 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
             first.Find("coreset_fingerprint")->string_value())
       << "cache hit must be bit-identical";
 
-  // The exact wire shape: a sharded miss reports its scheduler budget,
-  // shard windows and merge accounting; a hit ran no graph, so it reports
-  // parallelism 0 and carries no shard or merge keys.
+  // The exact wire shape: a sharded miss reports its effective budget,
+  // shard windows and merge accounting; a hit built nothing, so it
+  // reports parallelism 0 and carries no shard or merge keys.
   const auto Keys = [](const JsonValue& object) {
     std::set<std::string> keys;
     for (const auto& [key, value] : object.object()) keys.insert(key);
@@ -924,7 +924,7 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
   std::set<std::string> miss_keys = hit_keys;
   miss_keys.insert({"shard_seconds", "shard_windows", "merge_seconds"});
   EXPECT_EQ(Keys(first), miss_keys);
-  EXPECT_GE(first.Find("parallelism")->number_value(), 1.0);
+  EXPECT_EQ(first.Find("parallelism")->number_value(), 1.0);
   EXPECT_EQ(first.Find("shard_seconds")->array().size(), 2u);
   EXPECT_EQ(first.Find("shard_windows")->array().size(), 2u);
   EXPECT_EQ(first.Find("bytes_processed")->number_value(),
@@ -947,9 +947,11 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
                                    "queue_high_water"}));
   EXPECT_EQ(scheduler.Find("graphs_run")->number_value(), 1.0);
   EXPECT_EQ(scheduler.Find("tasks_executed")->number_value(), 3.0)
-      << "two shard nodes plus the merge node";
-  EXPECT_GE(scheduler.Find("max_concurrent_shards")->number_value(), 1.0);
-  EXPECT_GE(scheduler.Find("queue_high_water")->number_value(), 1.0);
+      << "two shard tasks plus the merge task";
+  EXPECT_EQ(scheduler.Find("max_concurrent_shards")->number_value(), 1.0)
+      << "a parallelism: 1 build runs one shard at a time";
+  EXPECT_EQ(scheduler.Find("queue_high_water")->number_value(), 2.0)
+      << "both shards are ready at once";
 
   const JsonValue evicted =
       Handle(R"({"verb":"evict","dataset":"p"})");

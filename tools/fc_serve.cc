@@ -4,9 +4,9 @@
 // evict. One request line in, one response line out; every response
 // line leads with the protocol version ("v":1); malformed requests
 // produce error-response lines and never terminate the server. Sharded
-// builds run on the task-graph scheduler tier — "parallelism" caps its
-// worker budget (0 = all workers) without changing the resulting
-// coreset. See src/service/protocol.h for the full request/response
+// builds fork one build per shard and join them in one merge —
+// "parallelism" caps how many shards build at once (0 = all workers)
+// without changing the resulting coreset. See src/service/protocol.h for the full request/response
 // schema and the README's "Service layer" / "Network daemon" sections.
 //
 // Transports:

@@ -10,8 +10,8 @@ Drives the binary over BOTH transports:
   bit-identical coreset (equal coreset fingerprints), a budget-capped
   rebuild still matches bit for bit, an invalid request surfaces an
   error response without killing the server, and stats report the
-  protocol version plus task-graph scheduler totals that reflect the
-  traffic.
+  protocol version plus sharded-build scheduler totals that reflect the
+  traffic (queue_high_water is the largest shard count built).
 
   --listen (loopback TCP daemon) — the same scenario over a socket, then
   four concurrent clients issuing pipelined builds (responses must come
@@ -55,7 +55,7 @@ def scenario_requests(csv_path):
     build = {"verb": "build", "dataset": "tiny", "method": "fast_coreset",
              "k": 4, "m": 48, "z": 2, "seed": 7, "shards": 2,
              "options": {"use_jl": False}}
-    # Same request with a sequential scheduler budget and no cache: the
+    # Same request with a sequential shard budget and no cache: the
     # budget must change the schedule only, never the bits.
     serial = dict(build, parallelism=1, use_cache=False)
     return [
@@ -137,11 +137,16 @@ def validate_scenario(responses, transport):
     check(scheduler.get("graphs_run") == 2,
           f"[{transport}] two rebuilds ran, so two graphs: {stats}")
     check(scheduler.get("tasks_executed") == 6,
-          f"[{transport}] each 2-shard rebuild runs 3 nodes (2 shards + "
+          f"[{transport}] each 2-shard rebuild runs 3 tasks (2 shards + "
           f"merge): {stats}")
+    # Every shard of a build is ready at once, so queue_high_water is
+    # the largest shard count requested.
+    largest_shards = max(first.get("shards", 0),
+                         serial_build.get("shards", 0))
     check(scheduler.get("max_concurrent_shards", 0) >= 1
-          and scheduler.get("queue_high_water", 0) >= 1,
-          f"[{transport}] scheduler high-water counters missing: {stats}")
+          and scheduler.get("queue_high_water") == largest_shards,
+          f"[{transport}] queue_high_water must equal the largest shard "
+          f"count ({largest_shards}): {stats}")
     gauges = stats.get("transport", {})
     if transport == "stdio":
         check(gauges.get("sessions_active") == 0
