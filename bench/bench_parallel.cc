@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/timer.h"
@@ -131,7 +131,7 @@ std::vector<size_t> PoolKMeansPlusPlusSeed(const Matrix& points, size_t k,
       min_sq[i] = SquaredL2(points.Row(i), first);
     }
   });
-  DiscreteDistribution masses;
+  FenwickTree masses(size_t{0});
   {
     std::vector<double> initial(min_sq);
     masses.Assign(initial);
@@ -304,7 +304,7 @@ int main() {
     std::vector<double> weights(points.rows());
     Rng wrng(2);
     for (double& w : weights) w = wrng.NextDouble();
-    const DiscreteDistribution dist(weights);
+    const FenwickTree dist(weights);
     const int draws = 2000;
     Rng draw_rng(3);
     const double linear_ms = BestOfRuns(runs, [&] {

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "src/clustering/cost.h"
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/geometry/distance.h"
 
 namespace fastcoreset {
@@ -42,7 +42,7 @@ Clustering Afkmc2(const Matrix& points, const std::vector<double>& weights,
   }
   // The chain's q-distribution is fixed after this point: O(n) bulk
   // build, O(log n) per proposal draw.
-  const DiscreteDistribution proposal(proposal_density);
+  const FenwickTree proposal(proposal_density);
 
   // dist^z to the current center set, maintained incrementally — but only
   // for points the chain visits (lazy evaluation keeps this sublinear).

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <optional>
 
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
 #include "src/geometry/distance.h"
 #include "src/geometry/quadtree.h"
@@ -153,7 +153,7 @@ class TreeSeeder {
   // Deepest covered-ancestor level per point, -1 = not covered yet.
   std::vector<int32_t> cov_level_;
   std::vector<uint32_t> assigned_;
-  DiscreteDistribution masses_;
+  FenwickTree masses_;
   std::vector<size_t> center_points_;
   std::vector<int32_t> newly_;  // AddCenter scratch, reused across calls.
   std::vector<int32_t> stack_;

@@ -5,7 +5,7 @@
 
 #include "src/clustering/cost.h"
 #include "src/clustering/kmeans_plus_plus.h"
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
 #include "src/geometry/distance.h"
 
@@ -33,7 +33,7 @@ Clustering KMeansParallel(const Matrix& points,
   // O(n) re-reduce. Updates are collected per chunk and applied on this
   // thread in chunk order, keeping the tree thread-invariant.
   std::vector<double> min_pow(n);
-  DiscreteDistribution mass(n);
+  FenwickTree mass(n);
   // Exact count of slots with positive mass. The tree total accumulates
   // signed update deltas, so "all points covered" can surface there as a
   // tiny residue instead of 0.0 — the count keeps the early break exact,

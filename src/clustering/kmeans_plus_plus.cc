@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
 #include "src/geometry/distance.h"
 
@@ -52,7 +52,7 @@ Clustering KMeansPlusPlus(const Matrix& points,
   // it improves, so each of the k-1 rounds pays O(changed * log n) Fenwick
   // updates plus an O(log n) total/draw — not the former O(n) mass rebuild
   // plus SampleDiscrete's O(n) re-sum.
-  DiscreteDistribution masses;
+  FenwickTree masses(size_t{0});
   {
     std::vector<double> initial(n);
     ParallelFor(n, [&](size_t begin, size_t end) {

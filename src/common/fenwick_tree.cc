@@ -1,7 +1,10 @@
 #include "src/common/fenwick_tree.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+
+#include "src/common/parallel.h"
 
 namespace fastcoreset {
 
@@ -37,6 +40,22 @@ void FenwickTree::UpperBoundBatch(std::span<const double> targets,
     }
   }
   for (size_t j = 0; j < lanes; ++j) out[j] = StepOffZeroMass(lane[j].pos);
+}
+
+std::vector<size_t> FenwickTree::SampleMany(Rng& rng, size_t count) const {
+  std::vector<size_t> draws(count);
+  if (count == 0) return draws;
+  const double total = Total();
+  FC_CHECK_MSG(total > 0.0, "cannot sample from an all-zero FenwickTree");
+  std::vector<double> targets(count);
+  for (double& target : targets) target = rng.NextDouble() * total;
+  ParallelFor(count, [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; b += kBatch) {
+      const size_t lanes = std::min(kBatch, end - b);
+      UpperBoundBatch({targets.data() + b, lanes}, {draws.data() + b, lanes});
+    }
+  });
+  return draws;
 }
 
 }  // namespace fastcoreset

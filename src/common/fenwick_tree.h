@@ -1,7 +1,18 @@
-// Fenwick (binary indexed) tree over non-negative doubles, used for
-// O(log n) weighted sampling with O(log n) point updates. This is the
-// sampling structure backing Fast-kmeans++'s tree-metric D^z distribution,
-// where point masses change as centers are inserted.
+// Fenwick (binary indexed) tree over non-negative doubles: the one
+// discrete sampling structure, with O(n) bulk build, O(log n) draw and
+// O(log n) single-slot update. The seeders and the sensitivity sampler
+// share it, so a mass that changes one slot at a time (k-means++
+// min-distance updates, k-means‖ round totals, Fast-kmeans++ tree masses)
+// costs an incremental update instead of the O(n) rebuild-and-re-sum that
+// Rng::SampleDiscrete pays per draw.
+//
+// Mutation and every RNG draw stay serial on the calling thread, so the
+// substrate's determinism contract (bit-identical results at any
+// FC_THREADS) extends to every consumer. Only the descents that map drawn
+// targets to slots, which are pure reads, may run on the pool
+// (SampleMany). Parallel producers hand their updates over as per-chunk
+// batches and apply them on the calling thread — see KMeansPlusPlus for
+// the pattern.
 
 #ifndef FASTCORESET_COMMON_FENWICK_TREE_H_
 #define FASTCORESET_COMMON_FENWICK_TREE_H_
@@ -16,7 +27,9 @@
 namespace fastcoreset {
 
 /// Prefix-sum tree supporting point updates and sampling proportional to
-/// the stored (non-negative) values.
+/// the stored (non-negative) values. Zero-weight slots are never sampled
+/// (UpperBound steps off them), so consumers can retire a slot — a chosen
+/// center, a covered point — by zeroing it.
 class FenwickTree {
  public:
   /// Creates a tree over `n` slots, all initialized to zero.
@@ -66,7 +79,8 @@ class FenwickTree {
     return sum;
   }
 
-  /// Total mass.
+  /// Total mass, O(log n). Callers that need a cheap emptiness test
+  /// compare this against 0 — no O(n) pass involved.
   double Total() const { return PrefixSum(values_.size()); }
 
   /// Most targets one UpperBoundBatch call resolves.
@@ -107,6 +121,11 @@ class FenwickTree {
     FC_CHECK_MSG(total > 0.0, "cannot sample from an all-zero FenwickTree");
     return UpperBound(rng.NextDouble() * total);
   }
+
+  /// The same draws as `count` calls of Sample, leaving `rng` in the same
+  /// state. The targets are drawn serially on the calling thread; their
+  /// descents are resolved in kBatch lanes, chunks of them on the pool.
+  std::vector<size_t> SampleMany(Rng& rng, size_t count) const;
 
  private:
   /// Maps a descent's landing slot `pos` (the count of slots whose

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "src/common/env.h"
 #include "src/common/mutex.h"
@@ -88,11 +87,12 @@ void RunSerial(size_t n, const ChunkPlan& plan,
 // wants them, park on a condition variable between dispatches, and are
 // joined either explicitly (ShutdownThreadPool) or by the singleton's
 // destructor at process exit. Any number of dispatches may be in flight
-// at once: each publishes its own Task (one executor group with its own
-// chunk queues), the dispatcher always participates as its task's
-// executor 0, and parked workers engage whichever task is still short of
-// its requested executor count — so concurrent dispatchers partition the
-// workers instead of serializing behind a single dispatch slot.
+// at once: each publishes its own Task (one executor group claiming
+// chunks off one shared counter), the dispatcher always participates as
+// its task's executor 0, and parked workers engage whichever task is
+// still short of its requested executor count — so concurrent
+// dispatchers partition the workers instead of serializing behind a
+// single dispatch slot.
 class ThreadPool {
  public:
   static ThreadPool& Instance() {
@@ -112,20 +112,12 @@ class ThreadPool {
     task.body = &body;
     task.n = n;
     task.chunk_size = plan.chunk_size;
+    task.chunks = plan.chunks;
+    task.executors = executors;
     task.remaining.store(plan.chunks, std::memory_order_relaxed);
     // The dispatcher is executor 0 and counts itself as active up front;
     // workers add themselves under the mutex when they engage.
     task.active.store(1, std::memory_order_relaxed);
-    // Stripe the chunks across one queue per executor. Queue geometry,
-    // like chunk geometry, never reaches the results: a queue only
-    // decides which executor runs a chunk first.
-    task.num_queues = executors;
-    task.queues = std::make_unique<ChunkQueue[]>(executors);
-    for (size_t q = 0; q < executors; ++q) {
-      task.queues[q].next.store(q * plan.chunks / executors,
-                                std::memory_order_relaxed);
-      task.queues[q].end = (q + 1) * plan.chunks / executors;
-    }
 
     {
       MutexLock lock(mutex_);
@@ -134,12 +126,12 @@ class ThreadPool {
       // second concurrent dispatch gets real workers instead of starving
       // behind the first one's group.
       size_t deficit = 0;
-      for (const Task* t : tasks_) deficit += t->num_queues - 1;
+      for (const Task* t : tasks_) deficit += t->executors - 1;
       EnsureWorkersLocked(deficit);
     }
     work_cv_.NotifyAll();
 
-    Execute(task, /*home_queue=*/0);
+    Execute(task);
 
     MutexLock lock(mutex_);
     while (!(task.remaining.load(std::memory_order_acquire) == 0 &&
@@ -172,42 +164,31 @@ class ThreadPool {
   }
 
  private:
-  // Per-executor chunk queue: a half-open range of chunk indices. The
-  // owner and thieves all claim via fetch_add on `next`; claims at or
-  // past `end` are overshoot and simply ignored (the counter can exceed
-  // `end` by at most one per executor, never near overflow).
-  struct alignas(64) ChunkQueue {
-    std::atomic<size_t> next{0};
-    size_t end = 0;
-  };
-
   struct Task {
     const std::function<void(size_t, size_t, size_t)>* body = nullptr;
     size_t n = 0;
     size_t chunk_size = 0;
-    std::unique_ptr<ChunkQueue[]> queues;
-    size_t num_queues = 0;
+    size_t chunks = 0;
+    size_t executors = 0;  // Cap on concurrent executors, dispatcher included.
+    // Next chunk to claim. Every executor claims by fetch_add; claims at
+    // or past `chunks` are overshoot and simply ignored (the counter
+    // exceeds `chunks` by at most one per executor, never near overflow).
+    std::atomic<size_t> next{0};
     std::atomic<size_t> remaining{0};  // Chunks not yet finished.
     std::atomic<size_t> active{0};     // Executors currently inside Execute.
-    size_t next_home = 0;  // Home-queue rotation; touched under mutex_ only.
   };
 
-  // First in-flight task a worker can still help: short of its requested
-  // executor count AND with unclaimed chunks left. Queue `next` counters
-  // only grow, so a task whose queues are drained can never be picked —
-  // which is also what makes engagement safe against Task teardown: a
-  // pick implies remaining > 0, so the task's dispatcher is still parked
-  // in Run() waiting for completion.
+  // First in-flight task a worker can still help: short of its executor
+  // cap AND with unclaimed chunks left. `next` only grows, so a task whose
+  // chunks are all claimed can never be picked — which is also what makes
+  // engagement safe against Task teardown: a pick implies remaining > 0,
+  // so the task's dispatcher is still parked in Run() waiting for
+  // completion.
   Task* PickTaskLocked() FC_REQUIRES(mutex_) {
     for (Task* task : tasks_) {
-      if (task->active.load(std::memory_order_relaxed) >= task->num_queues) {
-        continue;
-      }
-      for (size_t q = 0; q < task->num_queues; ++q) {
-        if (task->queues[q].next.load(std::memory_order_relaxed) <
-            task->queues[q].end) {
-          return task;
-        }
+      if (task->active.load(std::memory_order_relaxed) < task->executors &&
+          task->next.load(std::memory_order_relaxed) < task->chunks) {
+        return task;
       }
     }
     return nullptr;
@@ -224,7 +205,6 @@ class ThreadPool {
     // Pool threads are executors by definition: any substrate call made
     // from a chunk body must run inline (see tls_in_parallel_region).
     tls_in_parallel_region = true;
-    size_t home_queue = 0;
     for (;;) {
       Task* task = nullptr;
       {
@@ -236,32 +216,26 @@ class ThreadPool {
         // The active count must rise under the mutex: Run() removes its
         // task from tasks_ only while holding it, so a worker either
         // engages a still-live task or never sees it at all. PickTask
-        // caps engagement at num_queues executors (one queue each,
-        // dispatcher included): a pool grown for an earlier 8-executor
-        // dispatch must not throw all 7 workers at a 2-executor task.
+        // caps engagement at the task's executor count (dispatcher
+        // included): a pool grown for an earlier 8-executor dispatch must
+        // not throw all 7 workers at a 2-executor task.
         task->active.fetch_add(1, std::memory_order_relaxed);
-        home_queue = (task->next_home++ % (task->num_queues - 1)) + 1;
       }
-      Execute(*task, home_queue);
+      Execute(*task);
     }
   }
 
-  // Drains the executor's own queue, then steals from the others in
-  // cyclic order. Signals the dispatcher when the last chunk retires and
-  // the last executor leaves.
-  void Execute(Task& task, size_t home_queue) {
-    const size_t queues = task.num_queues;
-    for (size_t offset = 0; offset < queues; ++offset) {
-      ChunkQueue& queue = task.queues[(home_queue + offset) % queues];
-      for (;;) {
-        const size_t chunk =
-            queue.next.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= queue.end) break;
-        const size_t begin = chunk * task.chunk_size;
-        const size_t end = std::min(task.n, begin + task.chunk_size);
-        if (begin < end) (*task.body)(chunk, begin, end);
-        task.remaining.fetch_sub(1, std::memory_order_acq_rel);
-      }
+  // Claims chunks off the task's shared counter until none is left.
+  // Signals the dispatcher when the last chunk retires and the last
+  // executor leaves.
+  void Execute(Task& task) {
+    for (size_t chunk = task.next.fetch_add(1, std::memory_order_relaxed);
+         chunk < task.chunks;
+         chunk = task.next.fetch_add(1, std::memory_order_relaxed)) {
+      const size_t begin = chunk * task.chunk_size;
+      const size_t end = std::min(task.n, begin + task.chunk_size);
+      if (begin < end) (*task.body)(chunk, begin, end);
+      task.remaining.fetch_sub(1, std::memory_order_acq_rel);
     }
     // The dispatcher waits for remaining == 0 && active == 0, and the
     // Task dies with Run()'s stack frame as soon as that holds — so the

@@ -10,15 +10,14 @@
 // Execution runs on a lazily-initialized persistent thread pool: the
 // first multi-threaded dispatch spawns the workers once, and subsequent
 // ParallelFor/ParallelReduce calls only pay a condition-variable wake
-// instead of an OS thread spawn/join round. Chunks are striped across
-// per-executor queues; an executor drains its own queue first and then
-// steals from the others, so an uneven chunk costs only load balance,
-// never the chunk plan. Workers park on a condition variable between
-// dispatches and are joined cleanly at process exit (or explicitly via
-// ShutdownThreadPool).
+// instead of an OS thread spawn/join round. A dispatch's executors claim
+// chunks in index order off one shared atomic counter, so an uneven chunk
+// costs only load balance, never the chunk plan. Workers park on a
+// condition variable between dispatches and are joined cleanly at process
+// exit (or explicitly via ShutdownThreadPool).
 //
 // The pool serves any number of CONCURRENT dispatches: each in-flight
-// dispatch owns its own executor group (its own set of chunk queues),
+// dispatch owns its own executor group (its own claim counter and cap),
 // the dispatcher always participates in its own group, and parked
 // workers join whichever group is still short of its requested executor
 // count. This is what RunTasks builds on — N independent coarse tasks

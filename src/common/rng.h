@@ -88,8 +88,8 @@ class Rng {
   double NextSign() { return (NextU64() & 1) ? 1.0 : -1.0; }
 
   /// Samples an index proportional to `weights` (unnormalized, >= 0).
-  /// O(n) including a summing pass; use DiscreteDistribution for
-  /// repeated draws from an evolving mass.
+  /// O(n) including a summing pass; use FenwickTree for repeated draws
+  /// from an evolving mass.
   size_t SampleDiscrete(const std::vector<double>& weights);
 
   /// Same draw, but `total` is the caller's precomputed sum of `weights`

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
 #include "src/geometry/distance.h"
 
@@ -74,7 +74,7 @@ Coreset SampleByImportance(const Matrix& points,
   // weight would divide by sigma, so the distribution's zero-slot stepping
   // (FenwickTree::UpperBound) attributes any boundary-drifted target to
   // the nearest positive-sigma point.
-  const DiscreteDistribution distribution(scores.sigma);
+  const FenwickTree distribution(scores.sigma);
 
   // Draws in rng order, then sorted: runs of equal indices are the
   // repeated draws of one point, in ascending point order.

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/discrete_distribution.h"
 #include "src/common/env.h"
 #include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
@@ -213,13 +212,13 @@ TEST(FenwickTest, UpperBoundBatchMatchesSerialDescent) {
   }
 }
 
-TEST(DiscreteDistributionTest, SampleManyMatchesRepeatedSample) {
+TEST(FenwickTest, SampleManyMatchesRepeatedSample) {
   Rng wrng(71);
   std::vector<double> weights(10000);
   for (double& w : weights) {
     w = wrng.NextDouble() < 0.1 ? 0.0 : wrng.NextDouble();
   }
-  const DiscreteDistribution dist(weights);
+  const FenwickTree dist(weights);
   // 20001 draws span several pool chunks, and neither the chunks nor the
   // tail are whole batches.
   for (const size_t threads : {1, 4}) {
@@ -248,6 +247,7 @@ TEST(FenwickTest, SampleProportionalToWeights) {
   for (int i = 0; i < n; ++i) ++counts[tree.Sample(rng)];
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
+  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
 }
 
 TEST(FenwickTest, SetOverwritesNotAccumulates) {
@@ -282,6 +282,11 @@ TEST(FenwickTest, AssignReplacesExistingMass) {
   tree.Assign({4.0, 0.0, 0.0, 0.0, 1.0});  // Resizes too.
   EXPECT_EQ(tree.size(), 5u);
   EXPECT_NEAR(tree.Total(), 5.0, 1e-12);
+  FenwickTree empty(size_t{0});  // Grows from empty, then samples.
+  empty.Assign({0.0, 5.0, 0.0});
+  EXPECT_EQ(empty.size(), 3u);
+  Rng rng(53);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(empty.Sample(rng), 1u);
 }
 
 TEST(RngTest, SampleDiscreteWithPrecomputedTotalMatchesDistribution) {
@@ -308,22 +313,11 @@ TEST(RngTest, SampleDiscreteOverloadsConsumeIdenticalRngState) {
   }
 }
 
-TEST(DiscreteDistributionTest, SampleMatchesWeights) {
-  Rng rng(43);
-  const DiscreteDistribution dist(std::vector<double>{2.0, 0.0, 6.0});
-  std::vector<int> counts(3, 0);
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[dist.Sample(rng)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
-TEST(DiscreteDistributionTest, IncrementalSetTracksEvolvingMass) {
+TEST(FenwickTest, IncrementalSetTracksEvolvingMass) {
   // The k-means++ pattern: masses only ever shrink as centers cover
   // points; retired slots must become unsampleable immediately.
   Rng rng(47);
-  DiscreteDistribution dist(std::vector<double>{1.0, 2.0, 3.0, 4.0});
+  FenwickTree dist(std::vector<double>{1.0, 2.0, 3.0, 4.0});
   EXPECT_NEAR(dist.Total(), 10.0, 1e-12);
   dist.Set(3, 0.0);  // "Chosen center": mass retires.
   dist.Set(1, 0.5);  // Improved min-distance.
@@ -331,21 +325,7 @@ TEST(DiscreteDistributionTest, IncrementalSetTracksEvolvingMass) {
   for (int i = 0; i < 2000; ++i) EXPECT_NE(dist.Sample(rng), 3u);
 }
 
-TEST(DiscreteDistributionTest, AssignReusesStorageAcrossRounds) {
-  DiscreteDistribution dist;
-  EXPECT_EQ(dist.size(), 0u);
-  dist.Assign({1.0, 1.0});
-  EXPECT_EQ(dist.size(), 2u);
-  dist.Assign({0.0, 5.0, 0.0});
-  EXPECT_EQ(dist.size(), 3u);
-  Rng rng(53);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(dist.Sample(rng), 1u);
-  dist.Reset(4);
-  EXPECT_EQ(dist.size(), 4u);
-  EXPECT_EQ(dist.Total(), 0.0);
-}
-
-TEST(DiscreteDistributionTest, BulkBuildSamplingAgreesWithLinearScan) {
+TEST(FenwickTest, BulkBuildSamplingAgreesWithLinearScan) {
   // The Fenwick draw and Rng::SampleDiscrete walk the same cumulative
   // distribution; over a shared RNG stream they must pick identical slots
   // (both map target = u * total through the same prefix sums).
@@ -357,7 +337,7 @@ TEST(DiscreteDistributionTest, BulkBuildSamplingAgreesWithLinearScan) {
   }
   weights[0] = 0.0;  // Zero-mass prefix and suffix edge cases.
   weights.back() = 0.0;
-  const DiscreteDistribution dist(weights);
+  const FenwickTree dist(weights);
   double total = 0.0;
   for (double w : weights) total += w;
   int disagreements = 0;

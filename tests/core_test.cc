@@ -13,7 +13,7 @@
 #include "src/api/fastcoreset.h"
 #include "src/clustering/cost.h"
 #include "src/clustering/kmeans_plus_plus.h"
-#include "src/common/discrete_distribution.h"
+#include "src/common/fenwick_tree.h"
 #include "src/common/parallel.h"
 #include "src/core/fast_coreset.h"
 #include "src/core/importance.h"
@@ -134,7 +134,7 @@ Coreset ReferenceSampleByImportance(const Matrix& points,
                                     const std::vector<double>& weights,
                                     const ImportanceScores& scores, size_t m,
                                     Rng& rng) {
-  const DiscreteDistribution distribution(scores.sigma);
+  const FenwickTree distribution(scores.sigma);
   std::map<size_t, size_t> hits;
   for (size_t draw = 0; draw < m; ++draw) {
     ++hits[distribution.Sample(rng)];

@@ -1,5 +1,5 @@
 // Tests for the second wave of extensions: parallel kernels, k-means||,
-// AFK-MC^2, and the quality report.
+// and AFK-MC^2.
 
 #include <cmath>
 #include <set>
@@ -7,14 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/api/fastcoreset.h"
 #include "src/clustering/afkmc2.h"
 #include "src/clustering/cost.h"
 #include "src/clustering/kmeans_parallel.h"
 #include "src/clustering/kmeans_plus_plus.h"
 #include "src/common/parallel.h"
 #include "src/data/generators.h"
-#include "src/eval/quality_report.h"
 #include "src/geometry/distance.h"
 
 namespace fastcoreset {
@@ -153,55 +151,6 @@ TEST(Afkmc2Test, DuplicateHeavyInputDoesNotLoop) {
   const Clustering result = Afkmc2(points, {}, 5, options, rng);
   EXPECT_GE(result.centers.rows(), 1u);
   EXPECT_NEAR(result.total_cost, 0.0, 1e-9);
-}
-
-TEST(QualityReportTest, GoodCoresetPasses) {
-  Rng rng(13);
-  const Matrix points = Blobs(6, 300, 5, rng);
-  api::CoresetSpec spec;
-  spec.method = "fast_coreset";
-  spec.k = 6;
-  spec.m = 300;
-  const Coreset coreset = api::Build(spec, points, {}, rng)->coreset;
-  DistortionOptions options;
-  options.k = 6;
-  const QualityReport report =
-      EvaluateCoreset(points, {}, coreset, options, 3, rng);
-  EXPECT_TRUE(report.Passes()) << report.ToString();
-  EXPECT_LT(report.weight_error, 0.2);
-  EXPECT_EQ(report.clusters_covered, report.clusters_total);
-  EXPECT_GE(report.multi_probe, report.distortion - 1e-12);
-}
-
-TEST(QualityReportTest, DroppedClusterFails) {
-  Rng rng(14);
-  const size_t n = 4000;
-  Matrix points(n, 1);
-  for (size_t i = 0; i < n - 30; ++i) points.At(i, 0) = rng.NextGaussian();
-  for (size_t i = n - 30; i < n; ++i) points.At(i, 0) = 1e5;
-  std::vector<size_t> rows(100);
-  for (size_t i = 0; i < 100; ++i) rows[i] = i;
-  Coreset bad;
-  bad.indices = rows;
-  bad.points = points.SelectRows(rows);
-  bad.weights.assign(100, static_cast<double>(n) / 100.0);
-  DistortionOptions options;
-  options.k = 2;
-  const QualityReport report =
-      EvaluateCoreset(points, {}, bad, options, 3, rng);
-  EXPECT_FALSE(report.Passes()) << report.ToString();
-  EXPECT_LT(report.clusters_covered, report.clusters_total);
-  EXPECT_EQ(report.min_cluster_mass, 0.0);
-}
-
-TEST(QualityReportTest, ToStringMentionsVerdict) {
-  QualityReport report;
-  report.distortion = 1.1;
-  report.clusters_total = 3;
-  report.clusters_covered = 3;
-  EXPECT_NE(report.ToString().find("PASS"), std::string::npos);
-  report.clusters_covered = 2;
-  EXPECT_NE(report.ToString().find("FAIL"), std::string::npos);
 }
 
 }  // namespace

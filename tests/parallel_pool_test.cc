@@ -3,8 +3,9 @@
 // initialization, reentrancy (nested dispatches run inline instead of
 // deadlocking), worker counts exceeding the chunk count, repeated
 // init/teardown via ShutdownThreadPool, exact coverage of the chunk
-// partition under stealing, concurrent independent dispatches, budget
-// scoping, and shutdown racing running coarse tasks.
+// partition whichever executor claims each chunk, concurrent independent
+// dispatches, budget scoping (a capped dispatch never engages more
+// executors than its cap), and shutdown racing running coarse tasks.
 
 #include <atomic>
 #include <chrono>
@@ -230,6 +231,52 @@ TEST(ThreadPoolTest, NestedBudgetScopesOnlyTighten) {
   }
 }
 
+TEST(ThreadPoolTest, CappedDispatchOnGrownPoolNeverExceedsItsCap) {
+  // An uncapped 8-thread dispatch grows 7 workers; a later dispatch
+  // capped at 2 executors must engage only one of them, however many
+  // are parked and idle.
+  ShutdownThreadPool();
+  ThreadCountGuard guard(8);
+  EXPECT_EQ(ParallelReduce(kRows,
+                           [](size_t begin, size_t end) {
+                             double partial = 0.0;
+                             for (size_t i = begin; i < end; ++i) {
+                               partial += static_cast<double>(i % 97);
+                             }
+                             return partial;
+                           }),
+            SerialReferenceSum(kRows));
+  ASSERT_EQ(ThreadPoolWorkerCount(), 7u);
+
+  ParallelBudgetScope scope(2);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<uint32_t>> visits(kRows);
+    for (auto& v : visits) v.store(0);
+    std::atomic<size_t> in_flight{0};
+    std::atomic<size_t> peak{0};
+    ParallelFor(kRows, [&](size_t begin, size_t end) {
+      const size_t running = in_flight.fetch_add(1) + 1;
+      size_t seen = peak.load();
+      while (seen < running && !peak.compare_exchange_weak(seen, running)) {
+      }
+      // Hold the chunk briefly so idle workers have every chance to pile
+      // onto the dispatch if the cap let them.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      for (size_t i = begin; i < end; ++i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+      }
+      in_flight.fetch_sub(1);
+    });
+    ASSERT_LE(peak.load(), 2u) << "round " << round;
+    for (size_t i = 0; i < kRows; ++i) {
+      ASSERT_EQ(visits[i].load(), 1u) << "round " << round << " index " << i;
+    }
+  }
+}
+
 TEST(RunTasksTest, SequentialBudgetRunsInIndexOrderOnTheCaller) {
   ThreadCountGuard guard(4);
   // parallelism = 1 is the sequential reference walk: tasks run in index
@@ -295,8 +342,9 @@ TEST(RunTasksTest, ShutdownRacingRunningTasksNeverDeadlocks) {
   // The drain-safety regression: ShutdownThreadPool() fired while tasks
   // are mid-flight (some still unclaimed, some dispatching chunk work
   // into the pool). Every dispatcher participates in its own dispatch
-  // and steals all queues, so every task must complete exactly even when
-  // the pool's workers vanish underneath it — serially if need be.
+  // and can claim every chunk itself, so every task must complete exactly
+  // even when the pool's workers vanish underneath it — serially if need
+  // be.
   for (int round = 0; round < 5; ++round) {
     ThreadCountGuard guard(4);
     constexpr size_t kTasks = 8;

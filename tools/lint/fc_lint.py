@@ -70,13 +70,10 @@ Rule logic consumes the token stream of a self-contained C++ lexer (no
 dependencies), which also extracts comments, suppressions and #include
 lines.
 
-Baseline
---------
-`--baseline FILE` loads grandfathered findings (file+rule+count triples);
-matched findings are reported as "baselined" and do not fail the run.
-`--write-baseline FILE` records the current findings. The committed
-baseline (tools/lint/fc_lint_baseline.json) is empty and must stay empty:
-new findings are fixed or suppressed with a rationale, not baselined.
+Strictness
+----------
+Every finding fails the run. There is no baseline of grandfathered
+findings: new findings are fixed or suppressed with a rationale.
 
 Typical invocations (from the repo root):
 
@@ -222,7 +219,7 @@ def lex_builtin(text: str) -> LexResult:
 
 
 # --------------------------------------------------------------------------
-# Findings, suppressions, baseline
+# Findings and suppressions
 # --------------------------------------------------------------------------
 
 
@@ -232,7 +229,6 @@ class Finding:
     line: int
     rule: str
     message: str
-    baselined: bool = False
     suppressed: bool = False
 
     def render(self) -> str:
@@ -302,29 +298,6 @@ def parse_suppressions(path: str, lex: LexResult,
         for ln in covered:
             sup.by_line.setdefault(ln, set()).update(rules)
     return sup
-
-
-def load_baseline(path: Optional[str]) -> Dict[Tuple[str, str], int]:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
-    out: Dict[Tuple[str, str], int] = {}
-    for e in entries:
-        out[(e["file"], e["rule"])] = out.get((e["file"], e["rule"]), 0) + \
-            int(e.get("count", 1))
-    return out
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    counts: Dict[Tuple[str, str], int] = {}
-    for f in findings:
-        counts[(f.path, f.rule)] = counts.get((f.path, f.rule), 0) + 1
-    entries = [{"file": k[0], "rule": k[1], "count": v}
-               for k, v in sorted(counts.items())]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
 
 
 # --------------------------------------------------------------------------
@@ -2006,30 +1979,17 @@ def files_from_compile_commands(root: str, cc_path: str) -> List[str]:
 
 
 def run_lint(root: str, files: Sequence[str],
-             baseline: Dict[Tuple[str, str], int],
              active_rules: Set[str],
              ctx: Optional["ProjectContext"] = None,
-             ) -> Tuple[List[Finding], List[Finding]]:
-    """Returns (blocking findings, baselined findings)."""
-    blocking: List[Finding] = []
-    baselined: List[Finding] = []
-    remaining = dict(baseline)
-
-    def classify(finding: Finding) -> None:
-        key = (finding.path, finding.rule)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            finding.baselined = True
-            baselined.append(finding)
-        else:
-            blocking.append(finding)
+             ) -> List[Finding]:
+    """Returns every finding; each one fails the run."""
+    findings: List[Finding] = []
 
     # Config errors surface as findings of the rule they break, so a
     # malformed hierarchy can never silently disable its pass.
     if ctx is not None:
-        for finding in ctx.config_findings():
-            if finding.rule in active_rules:
-                classify(finding)
+        findings.extend(f for f in ctx.config_findings()
+                        if f.rule in active_rules)
 
     for rel in files:
         abs_path = os.path.join(root, rel)
@@ -2039,9 +1999,8 @@ def run_lint(root: str, files: Sequence[str],
         except OSError as e:
             print(f"fc_lint: cannot read {rel}: {e}", file=sys.stderr)
             continue
-        for finding in lint_file(rel, text, active_rules, ctx):
-            classify(finding)
-    return blocking, baselined
+        findings.extend(lint_file(rel, text, active_rules, ctx))
+    return findings
 
 
 # --------------------------------------------------------------------------
@@ -2159,10 +2118,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--compile-commands", default=None,
                         help="compile_commands.json; lints the TUs it lists "
                              "(headers still come from the roots)")
-    parser.add_argument("--baseline", default=None,
-                        help="JSON baseline of grandfathered findings")
-    parser.add_argument("--write-baseline", default=None,
-                        help="write current findings as a baseline and exit")
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rule ids to run")
     parser.add_argument("--layers", default=None,
@@ -2250,9 +2205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        os.path.join(root, RANKS_HEADER),
                        _display(layers_path), _display(locks_path))
 
-    baseline = load_baseline(args.baseline)
-    blocking, baselined = run_lint(root, files, baseline, active_rules,
-                                   ctx)
+    findings = run_lint(root, files, active_rules, ctx)
 
     cycles: List[List[str]] = []
     if args.dot_out:
@@ -2263,21 +2216,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"fc_lint: module include cycle: {' -> '.join(cyc)}",
                   file=sys.stderr)
 
-    if args.write_baseline:
-        write_baseline(args.write_baseline, blocking)
-        print(f"fc_lint: wrote {len(blocking)} finding(s) to "
-              f"{args.write_baseline}")
-        return 0
-
-    for f in blocking:
+    for f in findings:
         print(f.render())
-    stale = sum(c for c in baseline.values()) - len(baselined)
-    summary = (f"fc_lint: {len(files)} files, "
-               f"{len(blocking)} finding(s), {len(baselined)} baselined")
-    if baseline and stale > 0:
-        summary += f", {stale} stale baseline entr(y/ies) — burn them down"
-    print(summary)
-    return 1 if blocking or cycles else 0
+    print(f"fc_lint: {len(files)} files, {len(findings)} finding(s)")
+    return 1 if findings or cycles else 0
 
 
 if __name__ == "__main__":
