@@ -16,6 +16,8 @@ namespace api {
 
 namespace {
 
+constexpr double kMaxWeightTotal = 1e150;
+
 /// The shared request prologue every entry point runs: common spec
 /// invariants, method-table lookup, the options alternative, and the
 /// method's own spec checks.
@@ -64,6 +66,12 @@ FcStatus ValidateInput(const CoresetAlgorithm& algo, const Matrix& points,
   if (!weights.empty() && total <= 0.0) {
     // Every sampler needs positive total mass to draw from.
     return FcStatus::InvalidArgument("weights sum to zero");
+  }
+  // The samplers form count * w * total with w <= total; capping the total
+  // (which also rejects a sum that overflowed to +inf) keeps that product
+  // finite for any m below 1e8.
+  if (total > kMaxWeightTotal) {
+    return FcStatus::InvalidArgument("weights sum to more than 1e150");
   }
   if (algo.validate_input != nullptr) {
     return algo.validate_input(points, weights);

@@ -11,12 +11,14 @@
 // Lock-rank order (PR 9). Every long-lived Mutex in the tree carries an
 // integer rank from lock_rank below — lower ranks are OUTER locks,
 // acquired first; a thread may only acquire a mutex whose rank is
-// strictly greater than every rank it already holds. The canonical rank
-// table lives in tools/lint/lock_hierarchy.toml (fc_lint's lock-order
-// pass statically checks lexical acquisition patterns against it), and in
-// debug/sanitizer builds (FC_MUTEX_RANK_CHECKS) every Lock() checks the
-// order dynamically against a thread-local stack of held ranks, so an
-// inversion aborts at the site instead of deadlocking in production.
+// strictly greater than every rank it already holds. The lock_rank block
+// is the one rank table, and each lock's declaration
+// (`Mutex mutex_{lock_rank::k...};`) is its one entry in it. fc_lint's
+// lock-order pass reads both and statically checks lexical acquisition
+// patterns, and in debug/sanitizer builds (FC_MUTEX_RANK_CHECKS) every
+// Lock() checks the order dynamically against a thread-local stack of
+// held ranks, so an inversion aborts at the site instead of deadlocking
+// in production.
 //
 // In release builds without sanitizers all of this compiles away: the
 // wrappers are exactly the std:: operation they wrap, and rank
@@ -57,10 +59,11 @@ namespace fastcoreset {
 
 namespace lock_rank {
 
-// The global acquisition order, outermost first. Gaps leave room for new
-// tiers (the socket daemon and tiered cache on the roadmap) without
-// renumbering. The fc_lint lock-order pass reads its ranks from here
-// (tools/lint/lock_hierarchy.toml names each lock's constant).
+// The global acquisition order, outermost first: the one rank table.
+// Gaps leave room for new tiers without renumbering. Every value but
+// kUnranked is positive and unique; fc_lint's lock-order pass checks
+// that, and reads each lock's rank from the constant its Mutex
+// declaration names.
 inline constexpr int kUnranked = 0;  ///< Exempt (short-lived/test locks).
 inline constexpr int kNetServer = 5;          ///< NetServer sessions/queue.
 inline constexpr int kServiceScheduler = 10;  ///< CoresetService totals.
@@ -99,7 +102,7 @@ inline void CheckAcquire(int rank) {
       std::snprintf(
           msg, sizeof(msg),
           "lock-rank inversion: acquiring rank %d while holding rank %d "
-          "(lower = outer; see tools/lint/lock_hierarchy.toml)",
+          "(lower = outer; see lock_rank in src/common/mutex.h)",
           rank, held.rank[i]);
       internal_check::CheckFailed(__FILE__, __LINE__, "lock rank order",
                                   msg);

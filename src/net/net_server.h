@@ -119,7 +119,7 @@ class NetServer {
 
   /// Rank kNetServer: the outermost lock of the tree — held briefly
   /// around state transitions, never across service calls or blocking
-  /// socket I/O (see tools/lint/lock_hierarchy.toml).
+  /// socket I/O (see lock_rank in src/common/mutex.h).
   mutable Mutex mutex_{lock_rank::kNetServer};
   CondVar queue_cv_;  ///< Workers wait here for queue_ / stop.
   std::map<uint64_t, Session> sessions_ FC_GUARDED_BY(mutex_);

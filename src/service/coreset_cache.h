@@ -82,7 +82,7 @@ class CoresetCache {
     std::list<std::string>::iterator recency;  ///< Position in lru_.
   };
 
-  /// Rank kCoresetCache (see tools/lint/lock_hierarchy.toml).
+  /// Rank kCoresetCache (see lock_rank in src/common/mutex.h).
   mutable Mutex mutex_{lock_rank::kCoresetCache};
   const size_t capacity_;  ///< Immutable after construction: lock-free reads.
   /// Front = most recently used.

@@ -84,7 +84,7 @@ class DatasetStore {
   size_t size() const;
 
  private:
-  /// Rank kDatasetStore (see tools/lint/lock_hierarchy.toml).
+  /// Rank kDatasetStore (see lock_rank in src/common/mutex.h).
   mutable Mutex mutex_{lock_rank::kDatasetStore};
   std::map<std::string, std::shared_ptr<const DatasetEntry>> entries_
       FC_GUARDED_BY(mutex_);

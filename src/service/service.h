@@ -40,8 +40,9 @@ struct BuildRequest {
   size_t shards = 1;
   /// Parallelism budget for the sharded build: caps how many shards
   /// build concurrently (0 = all workers, GetNumThreads()); the shards
-  /// in flight partition the pool's workers between them. 1 = the sequential reference walk — one shard at a
-  /// time, each on the full pool. Validated against MaxParallelism();
+  /// in flight partition the pool's workers between them. 1 = the
+  /// sequential reference walk — one shard at a time, each on the full
+  /// pool. Validated against MaxParallelism();
   /// NEVER part of the cache key, because the budget only changes the
   /// schedule — the result is bit-identical at any value.
   size_t parallelism = 0;
@@ -145,7 +146,7 @@ class CoresetService {
   CoresetCache cache_;
   /// Rank kServiceScheduler: the outermost lock of the service layer —
   /// only the net transport's kNetServer mutex ranks outside it (see
-  /// tools/lint/lock_hierarchy.toml).
+  /// lock_rank in src/common/mutex.h).
   mutable Mutex scheduler_mutex_{lock_rank::kServiceScheduler};
   SchedulerTotals scheduler_totals_ FC_GUARDED_BY(scheduler_mutex_);
   TransportStats transport_stats_ FC_GUARDED_BY(scheduler_mutex_);

@@ -3,7 +3,10 @@
 // (including thread invariance), and per-method option round-trips.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -222,6 +225,37 @@ TEST(ErrorModelTest, InvalidSpecsAreRejectedNotAborted) {
   // ValidateSpec alone runs the same checks without building.
   EXPECT_FALSE(api::ValidateSpec(mismatched).ok());
   EXPECT_TRUE(api::ValidateSpec(SmallSpec("uniform")).ok());
+}
+
+TEST(ErrorModelTest, HostileWeightsAreRejectedOrStayFinite) {
+  const Matrix points = TestMixture();
+  const size_t n = points.rows();
+  const auto all_rows = [n](double w) { return std::vector<double>(n, w); };
+  const auto one_row = [n](double w) {
+    std::vector<double> weights(n, 1.0);
+    weights[5] = w;
+    return weights;
+  };
+  const std::vector<std::pair<std::string, std::vector<double>>> cases = {
+      {"0 on one row", one_row(0.0)},
+      {"4.9e-324 on every row",
+       all_rows(std::numeric_limits<double>::denorm_min())},
+      {"1e300 on every row", all_rows(1e300)},
+      {"NaN on one row", one_row(std::numeric_limits<double>::quiet_NaN())},
+      {"-1 on one row", one_row(-1.0)},
+      // The total overflows to +inf although every weight is finite.
+      {"1e308 on every row", all_rows(1e308)},
+  };
+  for (const std::string& name : api::MethodNames()) {
+    for (const auto& [label, weights] : cases) {
+      SCOPED_TRACE(name + ", " + label);
+      api::CoresetSpec spec = SmallSpec(name);
+      spec.weights = weights;
+      const auto result = api::Build(spec, points);
+      if (!result.ok()) continue;
+      for (double w : result->coreset.weights) ASSERT_TRUE(std::isfinite(w));
+    }
+  }
 }
 
 TEST(SpecRoundTripTest, WelterweightJReachesTheSampler) {

@@ -6,8 +6,9 @@
 // produce error-response lines and never terminate the server. Sharded
 // builds fork one build per shard and join them in one merge —
 // "parallelism" caps how many shards build at once (0 = all workers)
-// without changing the resulting coreset. See src/service/protocol.h for the full request/response
-// schema and the README's "Service layer" / "Network daemon" sections.
+// without changing the resulting coreset. See src/service/protocol.h
+// for the full request/response schema and the README's "Service
+// layer" / "Network daemon" sections.
 //
 // Transports:
 //   default          stdin/stdout, one request per line until EOF.

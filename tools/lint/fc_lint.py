@@ -33,10 +33,8 @@ Rules (see RULES below for scope and details):
   layering-violation       src/ include edges that leave the module DAG
                            declared in tools/lint/layers.toml (--dot-out
                            emits the actual graph as graphviz)
-  lock-order               fc::Mutex sites missing from (or disagreeing
-                           with) tools/lint/lock_hierarchy.toml, whose
-                           ranks are the lock_rank constants of
-                           src/common/mutex.h, and
+  lock-order               fc::Mutex declarations whose rank is not a
+                           lock_rank constant of src/common/mutex.h, and
                            lexical acquisition patterns that take a
                            lower-rank lock while holding a higher one
   determinism-taint        thread-count/timer-derived values flowing into
@@ -45,16 +43,18 @@ Rules (see RULES below for scope and details):
 
 Project passes
 --------------
-The last three rules are cross-file: they are parameterized by the two
-checked-in config files (tools/lint/layers.toml — the module DAG;
-tools/lint/lock_hierarchy.toml — every long-lived Mutex with its
-lock_rank constant, whose integer value is read from
-src/common/mutex.h, the one source of the ranks), and the layering pass
-accumulates the observed module include graph across the whole run
-(`--dot-out graph.dot` writes it; the run fails if the ACTUAL graph has
-a cycle, declared or not). Config errors (unparseable TOML, cyclic
-declared DAG, malformed lock entries, a constant mutex.h does not
-define) are findings like any other.
+The last three rules are cross-file. layering-violation checks includes
+against the module DAG in tools/lint/layers.toml and accumulates the
+observed include graph across the run (`--dot-out graph.dot` writes it;
+the run fails if the ACTUAL graph has a cycle, declared or not).
+lock-order has no config file: the lock_rank block of
+src/common/mutex.h (the constants the runtime rank checker enforces) is
+the one rank table, and each lock's rank is the constant its `Mutex`
+declaration is initialized with. Every declaration in the linted files
+is collected before any acquisition is checked, and an acquisition in
+foo.cc resolves against the declarations of foo.h and foo.cc. Config
+errors (unparseable or cyclic layers.toml, duplicate or non-positive
+lock_rank values) are findings like any other.
 
 Fixes
 -----
@@ -75,7 +75,8 @@ Strictness
 Every finding fails the run. There is no baseline of grandfathered
 findings: new findings are fixed or suppressed with a rationale.
 
-Typical invocations (from the repo root):
+Typical invocations (from the repo root; Python 3.11+, for the stdlib
+tomllib that reads layers.toml):
 
     python3 tools/lint/fc_lint.py src tools bench examples
     python3 tools/lint/fc_lint.py --selftest
@@ -90,6 +91,7 @@ import json
 import os
 import re
 import sys
+import tomllib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -809,115 +811,7 @@ def rule_umbrella_include(path: str,
 
 
 # --------------------------------------------------------------------------
-# Mini-TOML (the dependency-free subset the two config files use)
-# --------------------------------------------------------------------------
-#
-# Supports [table.paths], [[array.of.tables]], and `key = value` with
-# string / integer / boolean / single-line-array values — exactly what
-# layers.toml and lock_hierarchy.toml need, with line numbers preserved
-# so config errors are findings pointing at the offending table.
-
-
-class TomlError(Exception):
-    def __init__(self, line: int, msg: str):
-        super().__init__(msg)
-        self.line = line
-        self.msg = msg
-
-
-def _strip_toml_comment(line: str) -> str:
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _toml_value(raw: str, line_no: int):
-    raw = raw.strip()
-    if raw.startswith("["):
-        if not raw.endswith("]"):
-            raise TomlError(line_no, "arrays must be single-line")
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        parts, depth, in_str, cur = [], 0, False, []
-        for ch in inner:
-            if ch == '"':
-                in_str = not in_str
-            if not in_str:
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    parts.append("".join(cur))
-                    cur = []
-                    continue
-            cur.append(ch)
-        parts.append("".join(cur))
-        return [_toml_value(p, line_no) for p in parts]
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        body = raw[1:-1]
-        if '"' in body or "\\" in body:
-            raise TomlError(line_no, "escapes in strings are unsupported")
-        return body
-    if raw in ("true", "false"):
-        return raw == "true"
-    if re.fullmatch(r"-?\d+", raw):
-        return int(raw)
-    raise TomlError(line_no, f"unsupported value {raw!r}")
-
-
-def parse_mini_toml(text: str) -> Dict[str, object]:
-    """Parses the supported TOML subset; tables carry '__line__'."""
-    root: Dict[str, object] = {}
-    current: Dict[str, object] = root
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise TomlError(line_no, "malformed [[table]] header")
-            parts = line[2:-2].strip().split(".")
-            target = root
-            for p in parts[:-1]:
-                target = target.setdefault(p, {})  # type: ignore[assignment]
-                if not isinstance(target, dict):
-                    raise TomlError(line_no, "table path collides with a value")
-            arr = target.setdefault(parts[-1], [])
-            if not isinstance(arr, list):
-                raise TomlError(line_no, "[[table]] collides with a value")
-            current = {"__line__": line_no}
-            arr.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise TomlError(line_no, "malformed [table] header")
-            parts = line[1:-1].strip().split(".")
-            target = root
-            for p in parts[:-1]:
-                target = target.setdefault(p, {})  # type: ignore[assignment]
-                if not isinstance(target, dict):
-                    raise TomlError(line_no, "table path collides with a value")
-            if parts[-1] in target:
-                raise TomlError(line_no, f"duplicate table [{'.'.join(parts)}]")
-            current = {"__line__": line_no}
-            target[parts[-1]] = current
-        else:
-            m = re.match(r"^([A-Za-z0-9_-]+)\s*=\s*(.+)$", line)
-            if not m:
-                raise TomlError(line_no, f"cannot parse line {line!r}")
-            current[m.group(1)] = _toml_value(m.group(2), line_no)
-    return root
-
-
-# --------------------------------------------------------------------------
-# Project model: module-layering DAG + lock hierarchy
+# Project model: module-layering DAG + lock ranks
 # --------------------------------------------------------------------------
 
 
@@ -929,18 +823,25 @@ class LayerConfig:
     findings: List[Finding] = field(default_factory=list)
 
 
+# A `[modules.X]` table header; findings about X point at its line.
+_MODULE_HEADER_RE = re.compile(r"^[ \t]*\[\s*modules\.([\w-]+)\s*\]", re.M)
+
+
 def load_layer_config(path: str, display: str) -> LayerConfig:
     cfg = LayerConfig(display)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            data = parse_mini_toml(f.read())
+            text = f.read()
+        data = tomllib.loads(text)
     except OSError as e:
         cfg.findings.append(Finding(display, 1, "layering-violation",
                                     f"cannot read layers config: {e}"))
         return cfg
-    except TomlError as e:
-        cfg.findings.append(Finding(display, e.line, "layering-violation",
-                                    f"layers config parse error: {e.msg}"))
+    except tomllib.TOMLDecodeError as e:
+        m = re.search(r"line (\d+)", str(e))
+        cfg.findings.append(Finding(display, int(m.group(1)) if m else 1,
+                                    "layering-violation",
+                                    f"layers config parse error: {e}"))
         return cfg
     modules = data.get("modules")
     if not isinstance(modules, dict) or not modules:
@@ -948,13 +849,15 @@ def load_layer_config(path: str, display: str) -> LayerConfig:
             display, 1, "layering-violation",
             "layers config declares no [modules.<name>] tables"))
         return cfg
+    header_lines = {m.group(1): text.count("\n", 0, m.start()) + 1
+                    for m in _MODULE_HEADER_RE.finditer(text)}
     for name, tbl in modules.items():
+        line = header_lines.get(name, 1)
         if not isinstance(tbl, dict):
             cfg.findings.append(Finding(
-                display, 1, "layering-violation",
+                display, line, "layering-violation",
                 f"[modules.{name}] is not a table"))
             continue
-        line = int(tbl.get("__line__", 1))  # type: ignore[arg-type]
         deps = tbl.get("deps")
         if not isinstance(deps, list) or \
                 not all(isinstance(d, str) for d in deps):
@@ -962,7 +865,7 @@ def load_layer_config(path: str, display: str) -> LayerConfig:
                 display, line, "layering-violation",
                 f"[modules.{name}] needs `deps = [\"...\"]`"))
             deps = []
-        cfg.modules[name] = list(deps)  # type: ignore[arg-type]
+        cfg.modules[name] = list(deps)
         cfg.lines[name] = line
     for name in sorted(cfg.modules):
         for dep in cfg.modules[name]:
@@ -1006,148 +909,87 @@ def _find_cycles(graph: Dict[str, List[str]]) -> List[List[str]]:
     return cycles
 
 
-@dataclass
-class LockSite:
-    name: str
-    rank: int
-    constant: str
-    member: str
-    files: List[str]
-    line: int
-
-
-@dataclass
-class LockHierarchy:
-    display: str
-    sites: List[LockSite] = field(default_factory=list)
-    findings: List[Finding] = field(default_factory=list)
-
-    def site_for_decl(self, member: str, path: str) -> Optional[LockSite]:
-        for site in self.sites:
-            if site.member == member and path in site.files:
-                return site
-        return None
-
-    def rank_of_member(self, member: str,
-                       path: str) -> Optional[Tuple[int, str]]:
-        """Rank for an acquisition of `member` seen in `path`: an exact
-        file match wins; otherwise a globally unique member name; else
-        unknown (None) and the acquisition is not order-checked."""
-        site = self.site_for_decl(member, path)
-        if site is not None:
-            return site.rank, site.name
-        matches = [s for s in self.sites if s.member == member]
-        if len(matches) == 1:
-            return matches[0].rank, matches[0].name
-        return None
-
-
-_LOCK_REQUIRED_KEYS = ("name", "constant", "member", "files")
-
 # Where the lock ranks live: the runtime checker's lock_rank constants.
 RANKS_HEADER = "src/common/mutex.h"
 
 
-def load_lock_ranks(path: str) -> Dict[str, int]:
+@dataclass
+class MutexDecl:
+    member: str
+    line: int
+    rank: Optional[int]  # None: unranked or misranked (see `problem`)
+    constant: str = ""
+    problem: Optional[str] = None  # the lock-order finding, if any
+
+
+@dataclass
+class LockRanks:
+    """The lock_rank table of mutex.h, and every fc::Mutex declaration of
+    the run keyed by its path."""
+    ranks: Dict[str, int] = field(default_factory=dict)
+    findings: List[Finding] = field(default_factory=list)
+    decls: Dict[str, List[MutexDecl]] = field(default_factory=dict)
+
+    def rank_of(self, member: str, path: str) -> Optional[Tuple[int, str]]:
+        """(rank, constant) of `member` as declared in `path` or its
+        header/source partner (foo.h <-> foo.cc); else None and the
+        acquisition is not order-checked."""
+        stem = os.path.splitext(path)[0]
+        pair = [path] + [p for p in self.decls
+                         if p != path and os.path.splitext(p)[0] == stem]
+        for p in pair:
+            for d in self.decls.get(p, []):
+                if d.member == member and d.rank is not None:
+                    return d.rank, d.constant
+        return None
+
+
+def load_lock_ranks(path: str) -> LockRanks:
     """`lock_rank::<constant>` -> value, parsed from mutex.h's
-    `namespace lock_rank { ... }` block."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    `namespace lock_rank { ... }` block. kUnranked is the 0 sentinel;
+    every other value must be positive and unique."""
+    locks = LockRanks()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        locks.findings.append(Finding(RANKS_HEADER, 1, "lock-order",
+                                      f"cannot read lock ranks: {e}"))
+        return locks
     block = re.search(r"namespace\s+lock_rank\s*\{(.*?)\}\s*//\s*namespace",
                       text, re.S)
     if block is None:
-        return {}
-    return {m.group(1): int(m.group(2)) for m in re.finditer(
-        r"constexpr\s+int\s+(\w+)\s*=\s*(-?\d+)\s*;", block.group(1))}
-
-
-def load_lock_hierarchy(path: str, display: str,
-                        ranks_path: str) -> LockHierarchy:
-    hier = LockHierarchy(display)
-    try:
-        ranks = load_lock_ranks(ranks_path)
-    except OSError as e:
-        hier.findings.append(Finding(display, 1, "lock-order",
-                                     f"cannot read lock ranks: {e}"))
-        return hier
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = parse_mini_toml(f.read())
-    except OSError as e:
-        hier.findings.append(Finding(display, 1, "lock-order",
-                                     f"cannot read lock hierarchy: {e}"))
-        return hier
-    except TomlError as e:
-        hier.findings.append(Finding(display, e.line, "lock-order",
-                                     f"lock hierarchy parse error: {e.msg}"))
-        return hier
-    entries = data.get("lock")
-    if not isinstance(entries, list) or not entries:
-        hier.findings.append(Finding(
-            display, 1, "lock-order",
-            "lock hierarchy declares no [[lock]] entries"))
-        return hier
-    seen_names: Set[str] = set()
-    seen_ranks: Dict[int, str] = {}
-    for tbl in entries:
-        line = int(tbl.get("__line__", 1))
-        missing = [k for k in _LOCK_REQUIRED_KEYS if k not in tbl]
-        if missing:
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"[[lock]] entry is missing {', '.join(missing)}"))
+        return locks
+    owner: Dict[int, str] = {}
+    for m in re.finditer(r"constexpr\s+int\s+(\w+)\s*=\s*(-?\d+)\s*;",
+                         block.group(1)):
+        name, rank = m.group(1), int(m.group(2))
+        locks.ranks[name] = rank
+        if name == "kUnranked":
             continue
-        name, constant = tbl["name"], tbl["constant"]
-        member, files = tbl["member"], tbl["files"]
-        if "rank" in tbl:
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"[[lock]] '{name}' sets `rank`; ranks come only from "
-                f"lock_rank::{constant} in {RANKS_HEADER}"))
-            continue
-        rank = ranks.get(str(constant))
-        if rank is None:
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"[[lock]] '{name}' names lock_rank::{constant}, which "
-                f"{RANKS_HEADER} does not define"))
-            continue
+        line = text.count("\n", 0, block.start(1) + m.start()) + 1
         if rank <= 0:
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"[[lock]] '{name}' rank must be a positive integer "
-                f"(0 is the unranked sentinel)"))
-            continue
-        if not isinstance(files, list) or \
-                not all(isinstance(x, str) for x in files):
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"[[lock]] '{name}' needs `files = [\"...\"]`"))
-            continue
-        if name in seen_names:
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"duplicate [[lock]] name '{name}'"))
-            continue
-        if rank in seen_ranks:
-            hier.findings.append(Finding(
-                display, line, "lock-order",
-                f"[[lock]] '{name}' reuses rank {rank} of "
-                f"'{seen_ranks[rank]}' — ranks are a total order"))
-            continue
-        seen_names.add(name)
-        seen_ranks[rank] = str(name)
-        hier.sites.append(LockSite(str(name), rank, str(constant),
-                                   str(member), list(files), line))
-    return hier
+            locks.findings.append(Finding(
+                RANKS_HEADER, line, "lock-order",
+                f"lock_rank::{name} = {rank} must be positive (0 is the "
+                f"unranked sentinel kUnranked)"))
+        elif rank in owner:
+            locks.findings.append(Finding(
+                RANKS_HEADER, line, "lock-order",
+                f"lock_rank::{name} reuses rank {rank} of "
+                f"lock_rank::{owner[rank]} — ranks are a total order"))
+        else:
+            owner[rank] = name
+    return locks
 
 
 @dataclass
 class ProjectContext:
-    """Cross-file state threaded through a lint run: the two configs and
-    the observed module include graph (for --dot-out and cycle checks)."""
+    """Cross-file state threaded through a lint run: the layers config,
+    the lock ranks, and the observed module include graph (for --dot-out
+    and cycle checks)."""
     layers: LayerConfig
-    locks: LockHierarchy
+    locks: LockRanks
     # (from_module, to_module) -> (example file, line)
     module_edges: Dict[Tuple[str, str], Tuple[str, int]] = \
         field(default_factory=dict)
@@ -1156,15 +998,10 @@ class ProjectContext:
         return list(self.layers.findings) + list(self.locks.findings)
 
 
-def make_context(layers_path: str, locks_path: str, ranks_path: str,
-                 layers_display: Optional[str] = None,
-                 locks_display: Optional[str] = None) -> ProjectContext:
-    return ProjectContext(
-        load_layer_config(layers_path,
-                          layers_display or layers_path.replace(os.sep, "/")),
-        load_lock_hierarchy(locks_path,
-                            locks_display or locks_path.replace(os.sep, "/"),
-                            ranks_path))
+def make_context(layers_path: str, ranks_path: str,
+                 layers_display: str) -> ProjectContext:
+    return ProjectContext(load_layer_config(layers_path, layers_display),
+                          load_lock_ranks(ranks_path))
 
 
 def _module_of(path: str) -> Optional[str]:
@@ -1297,17 +1134,14 @@ def _match_group(tokens: List[Token], at: int, open_t: str,
     return len(tokens)
 
 
-def rule_lock_order(path: str, tokens: List[Token],
-                    ctx: "ProjectContext") -> List[Finding]:
-    findings: List[Finding] = []
-    hier = ctx.locks
+def collect_mutex_decls(tokens: List[Token],
+                        ranks: Dict[str, int]) -> List[MutexDecl]:
+    """Every `Mutex NAME{...};` / `Mutex NAME;` declaration in `tokens`,
+    with the rank its lock_rank initializer names."""
+    decls: List[MutexDecl] = []
     n = len(tokens)
-
-    # Pass A: every fc::Mutex declaration must carry a rank that agrees
-    # with the hierarchy file. (Skipped when the hierarchy failed to
-    # load — its own config findings gate the run instead.)
     i = 0
-    while i < n and hier.sites:
+    while i < n:
         tok = tokens[i]
         if not (tok.kind == "id" and tok.text == "Mutex"):
             i += 1
@@ -1323,7 +1157,8 @@ def rule_lock_order(path: str, tokens: List[Token],
         if j >= n or tokens[j].kind != "id":
             i += 1
             continue
-        name_tok = tokens[j]
+        name = tokens[j].text
+        line = tokens[j].line
         j += 1
         while j + 1 < n and tokens[j].kind == "id" and \
                 tokens[j].text in _LOCK_ATTR_MACROS and \
@@ -1332,59 +1167,71 @@ def rule_lock_order(path: str, tokens: List[Token],
         if j >= n:
             break
         t = tokens[j]
+        unranked = (f"unranked Mutex '{name}': long-lived mutexes declare "
+                    f"their tier (`Mutex {name}{{lock_rank::k...}};`) so "
+                    f"lock-order can check acquisitions against it")
         if t.kind == "punct" and t.text == ";":
-            findings.append(Finding(
-                path, name_tok.line, "lock-order",
-                f"unranked Mutex '{name_tok.text}': long-lived mutexes "
-                f"declare their tier (`Mutex {name_tok.text}"
-                f"{{lock_rank::k...}};`) and an entry in {hier.display} "
-                f"so lock-order can check acquisitions against it"))
+            decls.append(MutexDecl(name, line, None, problem=unranked))
             i = j
             continue
         if t.kind == "punct" and t.text in ("{", "("):
             close = _match_group(tokens, j, t.text,
                                  "}" if t.text == "{" else ")")
-            init_texts = {tk.text for tk in tokens[j:close + 1]}
-            site = hier.site_for_decl(name_tok.text, path)
-            if site is None:
-                findings.append(Finding(
-                    path, name_tok.line, "lock-order",
-                    f"ranked Mutex '{name_tok.text}' has no [[lock]] entry "
-                    f"for {path} in {hier.display}"))
-            elif site.constant not in init_texts:
-                findings.append(Finding(
-                    path, name_tok.line, "lock-order",
-                    f"Mutex '{name_tok.text}' must be initialized with "
-                    f"lock_rank::{site.constant} (rank {site.rank}) per "
-                    f"{hier.display}"))
+            init = [tk.text for tk in tokens[j + 1:close]]
+            constant = init[-1] if init[-3:-1] == ["lock_rank", "::"] else ""
+            rank = ranks.get(constant)
+            if not init or constant == "kUnranked":
+                problem: Optional[str] = unranked
+            elif not constant:
+                problem = (f"Mutex '{name}' is ranked by `{''.join(init)}`; "
+                           f"a rank must be a lock_rank:: constant of "
+                           f"{RANKS_HEADER}")
+            elif rank is None:
+                problem = (f"Mutex '{name}' names lock_rank::{constant}, "
+                           f"which {RANKS_HEADER} does not define")
+            else:
+                problem = None
+            decls.append(MutexDecl(name, line,
+                                   None if problem else rank, constant,
+                                   problem))
             i = close if close > i else j
             continue
         i = j
+    return decls
+
+
+def rule_lock_order(path: str, tokens: List[Token],
+                    ctx: "ProjectContext") -> List[Finding]:
+    locks = ctx.locks
+    # Declarations were collected across the whole run before any file
+    # was linted, so an acquisition can resolve against its header.
+    findings = [Finding(path, d.line, "lock-order", d.problem)
+                for d in locks.decls.get(path, []) if d.problem]
 
     # Pass B: lexical acquisition order per function body. Held locks
     # come from MutexLock RAII scopes, manual Lock()/Unlock() pairs, and
     # the FC_REQUIRES context of the enclosing signature; acquiring a
     # rank <= any held rank is an inversion.
     for lo, hi in _function_bodies(tokens):
-        # (scope depth at acquisition, lock expr, rank, site name);
+        # (scope depth at acquisition, lock expr, rank, constant);
         # depth -1 = held for the whole body (FC_REQUIRES).
         held: List[Tuple[int, str, Optional[int], Optional[str]]] = []
 
         def acquire(lock_name: Optional[str], depth: int, line: int) -> None:
-            resolved = hier.rank_of_member(lock_name, path) \
-                if lock_name else None
-            rank, site_name = resolved if resolved else (None, None)
+            resolved = locks.rank_of(lock_name, path) if lock_name else None
+            rank, constant = resolved if resolved else (None, None)
             if rank is not None:
-                for _, held_lock, held_rank, held_site in held:
+                for _, held_lock, held_rank, held_constant in held:
                     if held_rank is not None and rank <= held_rank:
                         findings.append(Finding(
                             path, line, "lock-order",
                             f"lock-order inversion: acquiring "
-                            f"'{lock_name}' (rank {rank}, {site_name}) "
+                            f"'{lock_name}' (rank {rank}, {constant}) "
                             f"while holding '{held_lock}' (rank "
-                            f"{held_rank}, {held_site}); lower ranks are "
-                            f"outer — see {hier.display}"))
-            held.append((depth, lock_name or "?", rank, site_name))
+                            f"{held_rank}, {held_constant}); lower ranks "
+                            f"are outer — see the lock_rank block in "
+                            f"{RANKS_HEADER}"))
+            held.append((depth, lock_name or "?", rank, constant))
 
         def release(lock_name: str) -> None:
             for k in range(len(held) - 1, -1, -1):
@@ -1411,7 +1258,7 @@ def rule_lock_order(path: str, tokens: List[Token],
                 close = _match_group(tokens, k + 1, "(", ")")
                 for tk in tokens[k + 2:min(close, lo)]:
                     if tk.kind == "id":
-                        resolved = hier.rank_of_member(tk.text, path)
+                        resolved = locks.rank_of(tk.text, path)
                         if resolved is not None:
                             held.append((-1, tk.text, resolved[0],
                                          resolved[1]))
@@ -1861,9 +1708,9 @@ RULES: Dict[str, Dict[str, object]] = {
     },
     "lock-order": {
         "scope": _scope_lock_order,
-        "doc": "fc::Mutex declarations without a rank/hierarchy entry, and "
-               "lexical acquisitions that invert the rank order in "
-               "tools/lint/lock_hierarchy.toml.",
+        "doc": "fc::Mutex declarations without a lock_rank constant of "
+               "src/common/mutex.h, and lexical acquisitions that invert "
+               "that rank order.",
     },
     "determinism-taint": {
         "scope": _scope_det_taint,
@@ -1901,17 +1748,33 @@ def extract_includes(stripped: str) -> List[Tuple[int, str, bool]]:
 # --------------------------------------------------------------------------
 
 
-def lint_file(rel_path: str, text: str, active_rules: Set[str],
-              ctx: Optional["ProjectContext"] = None) -> List[Finding]:
-    lex = lex_builtin(text)
+def lint_sources(sources: Sequence[Tuple[str, str]], active_rules: Set[str],
+                 ctx: "ProjectContext") -> List[Finding]:
+    """Lints (repo-relative path, text) pairs as one project; returns every
+    finding, each of which fails the run. Config errors surface as
+    findings of the rule they break, so a malformed config can never
+    silently disable its pass."""
+    lexed = [(path, lex_builtin(text)) for path, text in sources]
+    # Every Mutex declaration is known before any acquisition is checked.
+    for path, lex in lexed:
+        if _scope_lock_order(path):
+            ctx.locks.decls[path] = collect_mutex_decls(lex.tokens,
+                                                        ctx.locks.ranks)
+    findings = [f for f in ctx.config_findings() if f.rule in active_rules]
+    for path, lex in lexed:
+        findings.extend(lint_file(path, lex, active_rules, ctx))
+    return findings
+
+
+def lint_file(rel_path: str, lex: LexResult, active_rules: Set[str],
+              ctx: "ProjectContext") -> List[Finding]:
     tokens = lex.tokens
     includes = extract_includes(lex.stripped)
     sup = parse_suppressions(rel_path, lex, KNOWN_RULES)
 
-    if ctx is not None:
-        # Edge recording feeds --dot-out and is independent of which
-        # rules are active — the graph artifact shows the whole tree.
-        record_module_edges(rel_path, includes, ctx)
+    # Edge recording feeds --dot-out and is independent of which rules
+    # are active — the graph artifact shows the whole tree.
+    record_module_edges(rel_path, includes, ctx)
 
     findings: List[Finding] = list(sup.findings)
     rule_runners = {
@@ -1925,14 +1788,12 @@ def lint_file(rel_path: str, text: str, active_rules: Set[str],
         "banned-entropy":
             lambda: rule_banned_entropy(rel_path, tokens, includes),
         "umbrella-include": lambda: rule_umbrella_include(rel_path, includes),
+        "layering-violation":
+            lambda: rule_layering_violation(rel_path, includes, ctx),
+        "lock-order": lambda: rule_lock_order(rel_path, tokens, ctx),
         "determinism-taint":
             lambda: rule_determinism_taint(rel_path, tokens),
     }
-    if ctx is not None:
-        rule_runners["layering-violation"] = \
-            lambda: rule_layering_violation(rel_path, includes, ctx)
-        rule_runners["lock-order"] = \
-            lambda: rule_lock_order(rel_path, tokens, ctx)
     for rule_id, runner in rule_runners.items():
         if rule_id not in active_rules:
             continue
@@ -1965,42 +1826,16 @@ def collect_files(root: str, roots: Sequence[str]) -> List[str]:
     return sorted(set(p.replace(os.sep, "/") for p in out))
 
 
-def files_from_compile_commands(root: str, cc_path: str) -> List[str]:
-    with open(cc_path, "r", encoding="utf-8") as f:
-        db = json.load(f)
-    out = []
-    for entry in db:
-        p = os.path.normpath(
-            os.path.join(entry.get("directory", root), entry["file"]))
-        rel = os.path.relpath(p, root).replace(os.sep, "/")
-        if not rel.startswith(".."):
-            out.append(rel)
-    return sorted(set(out))
-
-
-def run_lint(root: str, files: Sequence[str],
-             active_rules: Set[str],
-             ctx: Optional["ProjectContext"] = None,
-             ) -> List[Finding]:
-    """Returns every finding; each one fails the run."""
-    findings: List[Finding] = []
-
-    # Config errors surface as findings of the rule they break, so a
-    # malformed hierarchy can never silently disable its pass.
-    if ctx is not None:
-        findings.extend(f for f in ctx.config_findings()
-                        if f.rule in active_rules)
-
+def read_sources(root: str, files: Sequence[str]) -> List[Tuple[str, str]]:
+    sources: List[Tuple[str, str]] = []
     for rel in files:
-        abs_path = os.path.join(root, rel)
         try:
-            with open(abs_path, "r", encoding="utf-8", errors="replace") as f:
-                text = f.read()
+            with open(os.path.join(root, rel), "r", encoding="utf-8",
+                      errors="replace") as f:
+                sources.append((rel, f.read()))
         except OSError as e:
             print(f"fc_lint: cannot read {rel}: {e}", file=sys.stderr)
-            continue
-        findings.extend(lint_file(rel, text, active_rules, ctx))
-    return findings
+    return sources
 
 
 # --------------------------------------------------------------------------
@@ -2019,29 +1854,29 @@ def run_selftest() -> int:
     fired_rules: Dict[str, int] = {}
     clean_rules: Dict[str, int] = {}
     for case in manifest["cases"]:
-        fixture = os.path.join(fixture_dir, case["file"])
         virtual = case["path"]
-        with open(fixture, "r", encoding="utf-8") as f:
-            text = f.read()
-        # Cases default to the repo's real configs (so fixtures double as
-        # a check on those files); a case may override either one with a
-        # fixture-local toml to exercise config-error paths.
+        sources = []
+        for member in [case] + case.get("with", []):
+            with open(os.path.join(fixture_dir, member["file"]), "r",
+                      encoding="utf-8") as f:
+                sources.append((member["path"], f.read()))
+        # Cases default to the repo's real layers.toml and mutex.h (so
+        # fixtures double as a check on those files); a case may swap in a
+        # fixture-local one to exercise config-error paths.
         layers_file = case.get("layers")
-        locks_file = case.get("lock_hierarchy")
+        ranks_file = case.get("ranks")
         ctx = make_context(
             os.path.join(fixture_dir, layers_file) if layers_file
             else os.path.join(here, "layers.toml"),
-            os.path.join(fixture_dir, locks_file) if locks_file
-            else os.path.join(here, "lock_hierarchy.toml"),
-            os.path.join(here, "..", "..", RANKS_HEADER),
-            layers_display=layers_file or "tools/lint/layers.toml",
-            locks_display=locks_file or "tools/lint/lock_hierarchy.toml")
-        got = lint_file(virtual, text, KNOWN_RULES, ctx)
-        got += [f for f in ctx.config_findings()]
-        got_set = sorted((f.rule, f.line) for f in got)
-        want_set = sorted((e["rule"], e["line"]) for e in case["expect"])
+            os.path.join(fixture_dir, ranks_file) if ranks_file
+            else os.path.join(here, "..", "..", RANKS_HEADER),
+            layers_file or "tools/lint/layers.toml")
+        got = lint_sources(sources, KNOWN_RULES, ctx)
+        got_set = sorted((f.path, f.rule, f.line) for f in got)
+        want_set = sorted((e.get("path", virtual), e["rule"], e["line"])
+                          for e in case["expect"])
         for rule in case.get("exercises", []):
-            if any(r == rule for r, _ in want_set):
+            if any(r == rule for _, r, _ in want_set):
                 fired_rules[rule] = fired_rules.get(rule, 0) + 1
             else:
                 clean_rules[rule] = clean_rules.get(rule, 0) + 1
@@ -2115,17 +1950,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--root", default=None,
                         help="repository root (default: two levels up from "
                              "this script)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json; lints the TUs it lists "
-                             "(headers still come from the roots)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rule ids to run")
     parser.add_argument("--layers", default=None,
                         help="module DAG config (default: layers.toml next "
                              "to this script)")
-    parser.add_argument("--lock-hierarchy", default=None,
-                        help="lock-rank config (default: "
-                             "lock_hierarchy.toml next to this script)")
     parser.add_argument("--dot-out", default=None,
                         help="write the observed module include graph as "
                              "graphviz; exits 1 if the actual graph has a "
@@ -2166,24 +1995,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     roots = args.roots or ["src", "tools", "bench", "examples"]
     files = collect_files(root, roots)
-    if args.compile_commands:
-        tu_files = files_from_compile_commands(root, args.compile_commands)
-        headers = [f for f in files if f.endswith((".h", ".hpp"))]
-        files = sorted(set(tu_files) | set(headers))
+    sources = read_sources(root, files)
 
     if args.fix:
         total_fixes = 0
-        for rel in files:
-            abs_path = os.path.join(root, rel)
-            try:
-                with open(abs_path, "r", encoding="utf-8") as f:
-                    text = f.read()
-            except OSError as e:
-                print(f"fc_lint: cannot read {rel}: {e}", file=sys.stderr)
-                continue
+        for rel, text in sources:
             fixed, nfix = apply_fixes(rel, text)
             if nfix:
-                with open(abs_path, "w", encoding="utf-8") as f:
+                with open(os.path.join(root, rel), "w", encoding="utf-8") as f:
                     f.write(fixed)
                 print(f"fc_lint --fix: {rel}: rewrote {nfix} include(s)")
                 total_fixes += nfix
@@ -2194,18 +2013,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     layers_path = os.path.abspath(args.layers) if args.layers else \
         os.path.join(here, "layers.toml")
-    locks_path = os.path.abspath(args.lock_hierarchy) if \
-        args.lock_hierarchy else os.path.join(here, "lock_hierarchy.toml")
+    layers_display = os.path.relpath(layers_path, root).replace(os.sep, "/")
+    if layers_display.startswith(".."):
+        layers_display = layers_path.replace(os.sep, "/")
 
-    def _display(p: str) -> str:
-        rel = os.path.relpath(p, root).replace(os.sep, "/")
-        return p.replace(os.sep, "/") if rel.startswith("..") else rel
-
-    ctx = make_context(layers_path, locks_path,
-                       os.path.join(root, RANKS_HEADER),
-                       _display(layers_path), _display(locks_path))
-
-    findings = run_lint(root, files, active_rules, ctx)
+    ctx = make_context(layers_path, os.path.join(root, RANKS_HEADER),
+                       layers_display)
+    findings = lint_sources(sources, active_rules, ctx)
 
     cycles: List[List[str]] = []
     if args.dot_out:

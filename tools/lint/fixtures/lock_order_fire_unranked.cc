@@ -1,6 +1,5 @@
-// Fixture: lock-order MUST fire on declarations that the hierarchy
-// cannot account for — an unranked Mutex, and a ranked one with no
-// [[lock]] entry for this file in lock_hierarchy.toml.
+// Fixture: lock-order MUST fire on an unranked Mutex, and only there:
+// the ranked declaration below it is its own rank entry.
 // Linted as src/service/lock_order_fire_unranked.cc.
 #include "src/common/mutex.h"
 
