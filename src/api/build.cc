@@ -16,6 +16,7 @@ namespace api {
 
 namespace {
 
+constexpr double kMinWeightTotal = 1e-150;
 constexpr double kMaxWeightTotal = 1e150;
 
 /// The shared request prologue every entry point runs: common spec
@@ -72,6 +73,12 @@ FcStatus ValidateInput(const CoresetAlgorithm& algo, const Matrix& points,
   // finite for any m below 1e8.
   if (total > kMaxWeightTotal) {
     return FcStatus::InvalidArgument("weights sum to more than 1e150");
+  }
+  // At the other end, a sampled row's weight is about total / m, which
+  // underflows to 0 for tiny totals (all-subnormal weights). Above the
+  // 1e-150 floor, total / m stays a normal double for any m below 1e8.
+  if (!weights.empty() && total < kMinWeightTotal) {
+    return FcStatus::InvalidArgument("weights sum to less than 1e-150");
   }
   if (algo.validate_input != nullptr) {
     return algo.validate_input(points, weights);

@@ -65,20 +65,20 @@ namespace lock_rank {
 // that, and reads each lock's rank from the constant its Mutex
 // declaration names.
 inline constexpr int kUnranked = 0;  ///< Exempt (short-lived/test locks).
-inline constexpr int kNetServer = 5;          ///< NetServer sessions/queue.
-inline constexpr int kServiceScheduler = 10;  ///< CoresetService totals.
-inline constexpr int kDatasetStore = 20;      ///< DatasetStore bindings.
-inline constexpr int kCoresetCache = 30;      ///< CoresetCache LRU state.
-inline constexpr int kPoolDispatch = 60;      ///< ThreadPool dispatch.
+inline constexpr int kNetServer = 5;      ///< NetServer sessions/queue.
+inline constexpr int kDatasetStore = 20;  ///< DatasetStore bindings.
+inline constexpr int kCoresetCache = 30;  ///< CoresetCache LRU state.
+inline constexpr int kPoolDispatch = 60;  ///< ThreadPool dispatch.
 
 }  // namespace lock_rank
 
 #if FC_MUTEX_RANK_CHECKS
 namespace rank_check_internal {
 
-/// Per-thread stack of held (mutex, rank) pairs. Fixed depth: the tree
-/// holds at most two ranked locks at once today; 16 is headroom, and
-/// blowing it is itself a locking bug worth an abort.
+/// Per-thread stack of held (mutex, rank) pairs. Fixed depth: no code
+/// path in the tree nests two ranked locks today, so one is held at a
+/// time; 16 is headroom, and blowing it is itself a locking bug worth an
+/// abort.
 struct HeldStack {
   static constexpr int kMaxDepth = 16;
   const void* mutex[kMaxDepth];

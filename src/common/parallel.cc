@@ -306,18 +306,14 @@ size_t EffectiveParallelism(size_t parallelism) {
                           : std::clamp<size_t>(parallelism, 1, threads);
 }
 
-size_t RunTasks(size_t count, size_t parallelism,
-                const std::function<void(size_t)>& task) {
+void RunTasks(size_t count, size_t parallelism,
+              const std::function<void(size_t)>& task) {
   const size_t pool_width = GetNumThreads();
   std::atomic<size_t> next{0};
   std::atomic<size_t> in_flight{0};
-  std::atomic<size_t> peak{0};
   const auto executor = [&] {
     for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
       const size_t running = in_flight.fetch_add(1) + 1;
-      size_t seen = peak.load();
-      while (seen < running && !peak.compare_exchange_weak(seen, running)) {
-      }
       {
         // With R tasks in flight each gets pool_width / R workers (at
         // least its own thread); a lone task has the whole pool.
@@ -333,7 +329,6 @@ size_t RunTasks(size_t count, size_t parallelism,
   for (size_t e = 1; e < executors; ++e) helpers.emplace_back(executor);
   executor();
   for (std::thread& helper : helpers) helper.join();
-  return peak.load();
 }
 
 void ShutdownThreadPool() { ThreadPool::Instance().Shutdown(); }

@@ -96,14 +96,13 @@ size_t EffectiveParallelism(size_t parallelism);
 /// ParallelBudgetScope of max(1, GetNumThreads() / tasks_in_flight), so
 /// the two tiers together never oversubscribe the pool beyond the
 /// integer-division slack. Tasks must not throw; a failing task records
-/// its failure in caller-owned state (one slot per index). Returns the
-/// peak number of tasks in flight.
+/// its failure in caller-owned state (one slot per index).
 ///
 /// ShutdownThreadPool() concurrent with RunTasks is safe: a task's inner
 /// dispatches drain on its own executor thread, they only lose their
 /// pool workers until the pool lazily re-initializes.
-size_t RunTasks(size_t count, size_t parallelism,
-                const std::function<void(size_t)>& task);
+void RunTasks(size_t count, size_t parallelism,
+              const std::function<void(size_t)>& task);
 
 /// Joins and discards the persistent pool's worker threads. The next
 /// multi-threaded dispatch re-initializes the pool lazily, so this is

@@ -8,9 +8,10 @@
 //
 // Threading model. All mutable server state (sessions, queue, counters)
 // is guarded by a single mutex_ at lock_rank::kNetServer — the outermost
-// rank in the tree, so workers holding it could legally call into the
-// service; they deliberately don't (HandleRequestLine runs unlocked, and
-// the service takes its own rank-10+ locks). The I/O thread parks in
+// rank in the tree. Under it the server calls only the service's
+// lock-free transport hooks (gauges and the rejection count are relaxed
+// atomics); HandleRequestLine runs unlocked, and the service takes its
+// own rank-20+ locks. The I/O thread parks in
 // poll() and is woken through a self-pipe by workers (response ready)
 // and by RequestDrain (signal handler) — the only async-signal-safe
 // surface: an atomic store plus one write(2) on the pipe.
@@ -118,8 +119,9 @@ class NetServer {
   std::atomic<bool> draining_{false};
 
   /// Rank kNetServer: the outermost lock of the tree — held briefly
-  /// around state transitions, never across service calls or blocking
-  /// socket I/O (see lock_rank in src/common/mutex.h).
+  /// around state transitions, never across a request's handling or
+  /// blocking socket I/O, and never with another ranked lock (see
+  /// lock_rank in src/common/mutex.h).
   mutable Mutex mutex_{lock_rank::kNetServer};
   CondVar queue_cv_;  ///< Workers wait here for queue_ / stop.
   std::map<uint64_t, Session> sessions_ FC_GUARDED_BY(mutex_);

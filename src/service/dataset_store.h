@@ -25,7 +25,8 @@ namespace service {
 /// Generator-backed dataset description, marshalled from a protocol
 /// request. `generator` selects among the paper's instance families
 /// (src/data/generators.h); fields irrelevant to the selected generator
-/// are ignored.
+/// are ignored. Fields() names each member once, by its wire name, as
+/// the method options structs do.
 struct SyntheticSpec {
   /// "gaussian_mixture" | "benchmark" | "spread" | "c_outlier".
   std::string generator = "gaussian_mixture";
@@ -38,6 +39,20 @@ struct SyntheticSpec {
   size_t c = 10;         ///< Outlier count (c_outlier).
   double separation = 100.0;  ///< Outlier distance (c_outlier).
   uint64_t seed = 1;     ///< Generator rng seed.
+
+  template <typename Self, typename F>
+  static void Fields(Self& self, F&& f) {
+    f("generator", self.generator);
+    f("n", self.n);
+    f("d", self.d);
+    f("kappa", self.kappa);
+    f("gamma", self.gamma);
+    f("k", self.k);
+    f("r", self.r);
+    f("c", self.c);
+    f("separation", self.separation);
+    f("seed", self.seed);
+  }
 };
 
 /// One registered dataset. Entries are immutable once registered (the

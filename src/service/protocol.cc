@@ -189,9 +189,47 @@ FcStatus ReadSeeder(const JsonValue& obj, const char* key,
                                    kFastSeederNames[1] + "'");
 }
 
+/// One Fields() member, read by its C++ type.
+template <typename T>
+FcStatus ReadField(const JsonValue& obj, const char* key, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return ReadBool(obj, key, out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return ReadDouble(obj, key, out);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    return ReadUnsigned(obj, key, out);
+  } else if constexpr (std::is_same_v<T, size_t>) {
+    return ReadSizeT(obj, key, out);
+  } else if constexpr (std::is_same_v<T, int>) {
+    return ReadInt(obj, key, out);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return ReadString(obj, key, out);
+  } else {
+    return ReadSeeder(obj, key, out);
+  }
+}
+
+/// Reads a struct with a Fields() list from `obj`: the allowed keys and
+/// the readers both come from the list, in its order, and absent keys
+/// keep the struct's defaults.
+template <typename Struct>
+FcStatus ReadFields(const JsonValue& obj, Struct* out) {
+  FcStatus status = CheckKeys(obj, [out](const std::string& key) {
+    bool known = false;
+    Struct::Fields(*out, [&](const char* name, auto&) {
+      known = known || key == name;
+    });
+    return known;
+  });
+  Struct::Fields(*out, [&](const char* name, auto& member) {
+    if (status.ok()) status = ReadField(obj, name, &member);
+  });
+  return status;
+}
+
 /// Per-method options sub-object -> the method's MethodOptions
-/// alternative. The allowed keys and their readers both come from the
-/// options struct's Fields() list; methods without knobs take only {}.
+/// alternative, read through the options struct's Fields() list; methods
+/// without knobs take only {}.
 FcStatusOr<api::MethodOptions> OptionsFromJson(
     const api::CoresetAlgorithm& algo, const JsonValue& options) {
   if (!options.is_object()) {
@@ -205,28 +243,7 @@ FcStatusOr<api::MethodOptions> OptionsFromJson(
           return FcStatus::InvalidArgument(
               "method '" + std::string(algo.name) + "' takes no options");
         } else {
-          FcStatus status = CheckKeys(options, [&](const std::string& key) {
-            bool known = false;
-            OptionsT::Fields(out, [&](const char* name, auto&) {
-              known = known || key == name;
-            });
-            return known;
-          });
-          OptionsT::Fields(out, [&](const char* name, auto& member) {
-            if (!status.ok()) return;
-            using T = std::decay_t<decltype(member)>;
-            if constexpr (std::is_same_v<T, bool>) {
-              status = ReadBool(options, name, &member);
-            } else if constexpr (std::is_same_v<T, double>) {
-              status = ReadDouble(options, name, &member);
-            } else if constexpr (std::is_same_v<T, size_t>) {
-              status = ReadSizeT(options, name, &member);
-            } else if constexpr (std::is_same_v<T, int>) {
-              status = ReadInt(options, name, &member);
-            } else {
-              status = ReadSeeder(options, name, &member);
-            }
-          });
+          FcStatus status = ReadFields(options, &out);
           if (!status.ok()) return status;
           return api::MethodOptions(out);
         }
@@ -268,23 +285,9 @@ FcStatusOr<SyntheticSpec> SyntheticFromJson(const JsonValue& obj) {
   if (!obj.is_object()) {
     return FcStatus::InvalidArgument("field 'synthetic' must be an object");
   }
-  FcStatus status = CheckAllowedKeys(
-      obj, {"generator", "n", "d", "kappa", "gamma", "k", "r", "c",
-            "separation", "seed"});
-  if (!status.ok()) return status;
   SyntheticSpec spec;
-  if (!(status = ReadString(obj, "generator", &spec.generator)).ok() ||
-      !(status = ReadSizeT(obj, "n", &spec.n)).ok() ||
-      !(status = ReadSizeT(obj, "d", &spec.d)).ok() ||
-      !(status = ReadSizeT(obj, "kappa", &spec.kappa)).ok() ||
-      !(status = ReadDouble(obj, "gamma", &spec.gamma)).ok() ||
-      !(status = ReadSizeT(obj, "k", &spec.k)).ok() ||
-      !(status = ReadSizeT(obj, "r", &spec.r)).ok() ||
-      !(status = ReadSizeT(obj, "c", &spec.c)).ok() ||
-      !(status = ReadDouble(obj, "separation", &spec.separation)).ok() ||
-      !(status = ReadUnsigned(obj, "seed", &spec.seed)).ok()) {
-    return status;
-  }
+  FcStatus status = ReadFields(obj, &spec);
+  if (!status.ok()) return status;
   return spec;
 }
 
@@ -436,7 +439,6 @@ std::string HandleStats(CoresetService& service, const JsonValue& request,
   FcStatus status = CheckAllowedKeys(request, {"verb", "id"});
   if (!status.ok()) return ErrorResponseWithId(status, id_echo);
   const CoresetCache::Stats stats = service.CacheStats();
-  const CoresetService::SchedulerTotals totals = service.SchedulerStats();
   const CoresetService::TransportStats transport = service.TransportLoad();
 
   // Load gauges of whatever transport fronts the service; all zero in
@@ -445,12 +447,6 @@ std::string HandleStats(CoresetService& service, const JsonValue& request,
   transport_out.Integer("queue_depth", transport.queue_depth);
   transport_out.Integer("sessions_active", transport.sessions_active);
   transport_out.Integer("requests_rejected", transport.requests_rejected);
-
-  ObjectWriter scheduler;
-  scheduler.Integer("graphs_run", totals.graphs_run);
-  scheduler.Integer("tasks_executed", totals.tasks_executed);
-  scheduler.Integer("max_concurrent_shards", totals.max_concurrent_shards);
-  scheduler.Integer("queue_high_water", totals.queue_high_water);
 
   ObjectWriter cache;
   cache.Integer("hits", stats.hits);
@@ -485,7 +481,6 @@ std::string HandleStats(CoresetService& service, const JsonValue& request,
   out.String("verb", "stats");
   out.Integer("protocol_version", kProtocolVersion);
   out.Raw("cache", cache.Finish());
-  out.Raw("scheduler", scheduler.Finish());
   out.Raw("transport", transport_out.Finish());
   out.Raw("datasets", datasets);
   return out.Finish();

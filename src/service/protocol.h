@@ -22,10 +22,10 @@
 // (bit-identity witness); "parallelism" caps how many shards build at
 // once (0 = all workers) without changing the result. Pass
 // "output":"path.csv" to also persist the coreset via SaveCoresetCsv.
-// The stats verb reports cache counters, registered datasets, lifetime
-// sharded-build scheduler totals, and the attached transport's load gauges
-// (queue_depth / sessions_active / requests_rejected — all zero in
-// stdin/stdout mode). Unknown fields are rejected — a typoed knob must
+// The stats verb reports cache counters, the attached transport's load
+// gauges (queue_depth / sessions_active / requests_rejected — all zero in
+// stdin/stdout mode) and the registered datasets; per-build shard work is
+// in each build response, not in stats. Unknown fields are rejected — a typoed knob must
 // fail loudly, not silently fall back to a default. The "options" keys of
 // each method are its options struct's Fields() list (src/api/spec.h);
 // methods without knobs accept only an empty object.

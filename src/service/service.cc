@@ -1,6 +1,5 @@
 #include "src/service/service.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -80,17 +79,6 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
   }
   if (diag.has_merge) diag.build_seconds += diag.merge.total_seconds;
 
-  {
-    MutexLock lock(scheduler_mutex_);
-    ++scheduler_totals_.graphs_run;
-    scheduler_totals_.tasks_executed += shards + (diag.has_merge ? 1 : 0);
-    scheduler_totals_.max_concurrent_shards =
-        std::max(scheduler_totals_.max_concurrent_shards,
-                 diag.max_concurrent_shards);
-    scheduler_totals_.queue_high_water =
-        std::max(scheduler_totals_.queue_high_water, shards);
-  }
-
   // The coreset moves into the entry, whose constructor derives the
   // fingerprint and total weight once, outside the cache mutex. A bypass
   // builds the same record and does not insert it.
@@ -102,26 +90,20 @@ api::FcStatusOr<BuildResponse> CoresetService::Build(
   return BuildResponse(std::move(entry), std::move(diag));
 }
 
-CoresetService::SchedulerTotals CoresetService::SchedulerStats() const {
-  MutexLock lock(scheduler_mutex_);
-  return scheduler_totals_;
-}
-
 void CoresetService::ReportTransportLoad(size_t queue_depth,
                                          size_t sessions_active) {
-  MutexLock lock(scheduler_mutex_);
-  transport_stats_.queue_depth = queue_depth;
-  transport_stats_.sessions_active = sessions_active;
+  queue_depth_.store(queue_depth, std::memory_order_relaxed);
+  sessions_active_.store(sessions_active, std::memory_order_relaxed);
 }
 
 void CoresetService::AddTransportRejections(uint64_t count) {
-  MutexLock lock(scheduler_mutex_);
-  transport_stats_.requests_rejected += count;
+  requests_rejected_.fetch_add(count, std::memory_order_relaxed);
 }
 
 CoresetService::TransportStats CoresetService::TransportLoad() const {
-  MutexLock lock(scheduler_mutex_);
-  return transport_stats_;
+  return {queue_depth_.load(std::memory_order_relaxed),
+          sessions_active_.load(std::memory_order_relaxed),
+          requests_rejected_.load(std::memory_order_relaxed)};
 }
 
 api::FcStatusOr<size_t> CoresetService::EvictDataset(

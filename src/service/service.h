@@ -10,14 +10,13 @@
 #ifndef FASTCORESET_SERVICE_SERVICE_H_
 #define FASTCORESET_SERVICE_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "src/api/fastcoreset.h"
-#include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
 #include "src/service/coreset_cache.h"
 #include "src/service/dataset_store.h"
 #include "src/service/shard_planner.h"
@@ -52,7 +51,7 @@ struct BuildRequest {
 };
 
 /// What the service did for one request: the planner's sharded-build
-/// record (shard windows, merge accounting, shard concurrency, volumes,
+/// record (shard windows, merge accounting, parallelism budget, volumes,
 /// critical path) plus the service's own fields. On a cache hit the
 /// inherited record stays empty — no shards, zero points_processed and
 /// parallelism — the proof that no rebuild happened.
@@ -104,26 +103,13 @@ class CoresetService {
 
   CoresetCache::Stats CacheStats() const { return cache_.stats(); }
 
-  /// Lifetime totals across every sharded build this service ran (cache
-  /// hits build nothing and add nothing). High-water fields are maxima
-  /// across builds; the rest are sums. For the stats verb: each build is
-  /// one fork-join (graphs_run) of `shards` shard tasks plus one merge
-  /// task when shards > 1 (tasks_executed). Every shard is ready at once,
-  /// so queue_high_water is the largest shard count built.
-  struct SchedulerTotals {
-    size_t graphs_run = 0;
-    size_t tasks_executed = 0;
-    size_t max_concurrent_shards = 0;
-    size_t queue_high_water = 0;
-  };
-  SchedulerTotals SchedulerStats() const;
-
   /// Load gauges + rejection counter reported by whatever transport
   /// fronts this service (tools/fc_serve's socket listener). The service
   /// itself never writes them — it is transport-agnostic — but it owns
   /// the storage so the stats verb can report load without the protocol
   /// layer knowing which transport is attached. Gauges are
-  /// last-write-wins snapshots; requests_rejected accumulates.
+  /// last-write-wins snapshots; requests_rejected accumulates. Each field
+  /// is its own relaxed atomic, so a snapshot may mix two reports.
   struct TransportStats {
     size_t queue_depth = 0;       ///< Requests queued, not yet executing.
     size_t sessions_active = 0;   ///< Connected client sessions.
@@ -144,12 +130,11 @@ class CoresetService {
   ServiceOptions options_;
   DatasetStore store_;
   CoresetCache cache_;
-  /// Rank kServiceScheduler: the outermost lock of the service layer —
-  /// only the net transport's kNetServer mutex ranks outside it (see
-  /// lock_rank in src/common/mutex.h).
-  mutable Mutex scheduler_mutex_{lock_rank::kServiceScheduler};
-  SchedulerTotals scheduler_totals_ FC_GUARDED_BY(scheduler_mutex_);
-  TransportStats transport_stats_ FC_GUARDED_BY(scheduler_mutex_);
+  /// TransportStats, stored lock-free: the net server writes these while
+  /// it holds its own lock, so no service lock may nest under it.
+  std::atomic<size_t> queue_depth_{0};
+  std::atomic<size_t> sessions_active_{0};
+  std::atomic<uint64_t> requests_rejected_{0};
 };
 
 }  // namespace service

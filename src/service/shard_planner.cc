@@ -108,31 +108,30 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
   // fixed shard order, so concurrent execution is bit-identical to the
   // sequential walk.
   diag.parallelism = EffectiveParallelism(parallelism);
-  diag.max_concurrent_shards = RunTasks(
-      shards, diag.parallelism,
-      [&spec, &points, &plan, &built, &diag, &wall](size_t i) {
-        ShardDiagnostics& slot = diag.shards[i];
-        slot.start_seconds = wall.Seconds();
-        api::CoresetSpec sub_spec = spec;
-        sub_spec.seed = slot.seed;
-        if (!spec.weights.empty()) {
-          sub_spec.weights.assign(spec.weights.begin() + plan[i].begin,
-                                  spec.weights.begin() + plan[i].end);
-        }
-        api::FcStatusOr<api::BuildResult> shard_built =
-            api::Build(sub_spec, SliceRows(points, plan[i]));
-        if (!shard_built.ok()) {
-          built[i].status = shard_built.status();
-        } else {
-          // Shard-local indices -> dataset rows.
-          for (size_t& index : shard_built->coreset.indices) {
-            if (index != Coreset::kSyntheticIndex) index += plan[i].begin;
-          }
-          built[i].coreset = std::move(shard_built->coreset);
-          slot.build = std::move(shard_built->diagnostics);
-        }
-        slot.end_seconds = wall.Seconds();
-      });
+  RunTasks(shards, diag.parallelism,
+           [&spec, &points, &plan, &built, &diag, &wall](size_t i) {
+             ShardDiagnostics& slot = diag.shards[i];
+             slot.start_seconds = wall.Seconds();
+             api::CoresetSpec sub_spec = spec;
+             sub_spec.seed = slot.seed;
+             if (!spec.weights.empty()) {
+               sub_spec.weights.assign(spec.weights.begin() + plan[i].begin,
+                                       spec.weights.begin() + plan[i].end);
+             }
+             api::FcStatusOr<api::BuildResult> shard_built =
+                 api::Build(sub_spec, SliceRows(points, plan[i]));
+             if (!shard_built.ok()) {
+               built[i].status = shard_built.status();
+             } else {
+               // Shard-local indices -> dataset rows.
+               for (size_t& index : shard_built->coreset.indices) {
+                 if (index != Coreset::kSyntheticIndex) index += plan[i].begin;
+               }
+               built[i].coreset = std::move(shard_built->coreset);
+               slot.build = std::move(shard_built->diagnostics);
+             }
+             slot.end_seconds = wall.Seconds();
+           });
 
   // Join: the first failed shard's status wins (matching the sequential
   // walk) and makes the merge moot.

@@ -95,7 +95,6 @@ struct ShardedBuildDiagnostics {
   /// positive-weight shard-coreset rows it reduced.
   api::BuildDiagnostics merge;
   size_t parallelism = 0;  ///< Effective shard-concurrency budget.
-  size_t max_concurrent_shards = 0;  ///< Peak shard builds in flight.
   size_t points_processed = 0;  ///< Shard rows + merge input rows.
   size_t bytes_processed = 0;   ///< points_processed * dims * sizeof(double).
   /// Wall clock of the whole sharded build — the critical path through

@@ -253,7 +253,10 @@ TEST(ErrorModelTest, HostileWeightsAreRejectedOrStayFinite) {
       spec.weights = weights;
       const auto result = api::Build(spec, points);
       if (!result.ok()) continue;
-      for (double w : result->coreset.weights) ASSERT_TRUE(std::isfinite(w));
+      for (double w : result->coreset.weights) {
+        ASSERT_TRUE(std::isfinite(w));
+        ASSERT_GT(w, 0.0);
+      }
     }
   }
 }

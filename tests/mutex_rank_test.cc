@@ -25,7 +25,7 @@ namespace fastcoreset {
 namespace {
 
 TEST(MutexRankTest, OrderedNestingIsSilent) {
-  Mutex outer{lock_rank::kServiceScheduler};
+  Mutex outer{lock_rank::kNetServer};
   Mutex inner{lock_rank::kPoolDispatch};
   MutexLock hold_outer(outer);
   MutexLock hold_inner(inner);
@@ -33,11 +33,11 @@ TEST(MutexRankTest, OrderedNestingIsSilent) {
 }
 
 TEST(MutexRankTest, FullTierChainInOrderIsSilent) {
-  Mutex scheduler{lock_rank::kServiceScheduler};
+  Mutex net{lock_rank::kNetServer};
   Mutex store{lock_rank::kDatasetStore};
   Mutex cache{lock_rank::kCoresetCache};
   Mutex pool{lock_rank::kPoolDispatch};
-  MutexLock l1(scheduler);
+  MutexLock l1(net);
   MutexLock l2(store);
   MutexLock l3(cache);
   MutexLock l4(pool);
@@ -73,7 +73,7 @@ TEST(MutexRankDeathTest, InversionAborts) {
   EXPECT_DEATH(
       {
         Mutex inner{lock_rank::kPoolDispatch};
-        Mutex outer{lock_rank::kServiceScheduler};
+        Mutex outer{lock_rank::kNetServer};
         MutexLock hold_inner(inner);
         MutexLock hold_outer(outer);
       },

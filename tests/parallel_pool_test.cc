@@ -31,6 +31,24 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { ResetNumThreads(); }
 };
 
+// Peak number of bodies running at once, measured by the bodies
+// themselves: each calls Enter() first and Leave() last.
+class InFlightPeak {
+ public:
+  void Enter() {
+    const size_t running = in_flight_.fetch_add(1) + 1;
+    size_t seen = peak_.load();
+    while (seen < running && !peak_.compare_exchange_weak(seen, running)) {
+    }
+  }
+  void Leave() { in_flight_.fetch_sub(1); }
+  size_t peak() const { return peak_.load(); }
+
+ private:
+  std::atomic<size_t> in_flight_{0};
+  std::atomic<size_t> peak_{0};
+};
+
 double SerialReferenceSum(size_t n) {
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) total += static_cast<double>(i % 97);
@@ -252,13 +270,9 @@ TEST(ThreadPoolTest, CappedDispatchOnGrownPoolNeverExceedsItsCap) {
   for (int round = 0; round < 20; ++round) {
     std::vector<std::atomic<uint32_t>> visits(kRows);
     for (auto& v : visits) v.store(0);
-    std::atomic<size_t> in_flight{0};
-    std::atomic<size_t> peak{0};
+    InFlightPeak chunks;
     ParallelFor(kRows, [&](size_t begin, size_t end) {
-      const size_t running = in_flight.fetch_add(1) + 1;
-      size_t seen = peak.load();
-      while (seen < running && !peak.compare_exchange_weak(seen, running)) {
-      }
+      chunks.Enter();
       // Hold the chunk briefly so idle workers have every chance to pile
       // onto the dispatch if the cap let them.
       const auto until =
@@ -268,9 +282,9 @@ TEST(ThreadPoolTest, CappedDispatchOnGrownPoolNeverExceedsItsCap) {
       for (size_t i = begin; i < end; ++i) {
         visits[i].fetch_add(1, std::memory_order_relaxed);
       }
-      in_flight.fetch_sub(1);
+      chunks.Leave();
     });
-    ASSERT_LE(peak.load(), 2u) << "round " << round;
+    ASSERT_LE(chunks.peak(), 2u) << "round " << round;
     for (size_t i = 0; i < kRows; ++i) {
       ASSERT_EQ(visits[i].load(), 1u) << "round " << round << " index " << i;
     }
@@ -284,11 +298,14 @@ TEST(RunTasksTest, SequentialBudgetRunsInIndexOrderOnTheCaller) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> ran;
   bool on_caller = true;
-  const size_t peak = RunTasks(8, /*parallelism=*/1, [&](size_t i) {
+  InFlightPeak tasks;
+  RunTasks(8, /*parallelism=*/1, [&](size_t i) {
+    tasks.Enter();
     ran.push_back(i);
     on_caller = on_caller && std::this_thread::get_id() == caller;
+    tasks.Leave();
   });
-  EXPECT_EQ(peak, 1u);
+  EXPECT_EQ(tasks.peak(), 1u);
   EXPECT_TRUE(on_caller);
   ASSERT_EQ(ran.size(), 8u);
   for (size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i], i);
@@ -302,19 +319,22 @@ TEST(RunTasksTest, EveryTaskRunsOnceAndThePeakStaysWithinTheBudget) {
     EXPECT_EQ(budget, parallelism == 0 || parallelism > 4 ? 4u : parallelism);
     constexpr size_t kTasks = 7;
     std::atomic<size_t> runs[kTasks] = {};
-    const size_t peak = RunTasks(kTasks, parallelism, [&](size_t i) {
+    InFlightPeak tasks;
+    RunTasks(kTasks, parallelism, [&](size_t i) {
+      tasks.Enter();
       runs[i].fetch_add(1, std::memory_order_relaxed);
       // Linger so executors actually overlap.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      tasks.Leave();
     });
-    EXPECT_GE(peak, 1u) << "parallelism " << parallelism;
-    EXPECT_LE(peak, budget) << "parallelism " << parallelism;
+    EXPECT_GE(tasks.peak(), 1u) << "parallelism " << parallelism;
+    EXPECT_LE(tasks.peak(), budget) << "parallelism " << parallelism;
     for (size_t i = 0; i < kTasks; ++i) {
       EXPECT_EQ(runs[i].load(), 1u) << "parallelism " << parallelism
                                     << " task " << i;
     }
   }
-  EXPECT_EQ(RunTasks(0, 0, [](size_t) { FAIL() << "no task to run"; }), 0u);
+  RunTasks(0, 0, [](size_t) { FAIL() << "no task to run"; });
 }
 
 TEST(RunTasksTest, TasksDispatchingParallelWorkCompose) {

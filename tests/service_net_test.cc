@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -412,6 +413,79 @@ TEST(NetServerTest, SaturatedQueueShedsWithStructuredUnavailable) {
 
   server.Drain();
   EXPECT_GE(server.service().TransportLoad().requests_rejected, shed);
+}
+
+TEST(NetServerTest, StatsDuringSheddingReadsLifetimeRejections) {
+  // The transport gauges are lock-free atomics: the I/O thread writes
+  // them as it admits and sheds the burst, while workers serving stats
+  // read them. Under TSan this runs both sides through the daemon (the
+  // overlap is brief; ServiceConcurrencyTest's gauge test is the
+  // deterministic race check); everywhere it checks that
+  // requests_rejected only grows.
+  NetServerOptions options;
+  options.workers = 3;
+  options.max_queue = 1;
+  TestServer server(options);
+
+  {
+    TestClient registrar(server.port());
+    registrar.Send(kRegisterLine);
+    ASSERT_TRUE(IsOk(MustParse(registrar.ReadLines(1).at(0))));
+  }
+
+  // Each client pipelines several bursts in turn, so the I/O thread keeps
+  // shedding for as long as the stats client polls.
+  constexpr size_t kClients = 8;
+  constexpr size_t kBursts = 8;
+  constexpr size_t kRequestsPerBurst = 4;
+  std::atomic<bool> burst_done{false};
+  std::vector<double> rejected_seen;
+  std::thread stats_client([&server, &burst_done, &rejected_seen] {
+    TestClient client(server.port());
+    // One more round after the burst ends, so at least one stats
+    // request meets an idle queue and is served.
+    for (bool last = false; !last;) {
+      last = burst_done.load();
+      client.Send("{\"verb\":\"stats\"}\n");
+      const JsonValue response = MustParse(client.ReadLines(1).at(0));
+      if (!IsOk(response)) continue;  // shed like any other request
+      rejected_seen.push_back(
+          response.Find("transport")->Find("requests_rejected")
+              ->number_value());
+    }
+  });
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([c, &server] {
+      TestClient client(server.port());
+      for (size_t b = 0; b < kBursts; ++b) {
+        std::string burst;
+        for (size_t r = 0; r < kRequestsPerBurst; ++r) {
+          burst += BuildLine(2000 + (c * kBursts + b) * kRequestsPerBurst + r);
+        }
+        client.Send(burst);
+        const auto replies = client.ReadLines(kRequestsPerBurst);
+        FC_CHECK_MSG(replies.size() == kRequestsPerBurst, "lost responses");
+      }
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+  burst_done.store(true);
+  stats_client.join();
+
+  server.Drain();
+  const uint64_t final_rejected =
+      server.service().TransportLoad().requests_rejected;
+  EXPECT_GT(final_rejected, 0u) << "queue=1: pipelined bursts shed";
+  ASSERT_FALSE(rejected_seen.empty());
+  for (size_t i = 0; i < rejected_seen.size(); ++i) {
+    EXPECT_LE(rejected_seen[i], static_cast<double>(final_rejected))
+        << "stats reply " << i;
+    if (i > 0) {
+      EXPECT_GE(rejected_seen[i], rejected_seen[i - 1])
+          << "a lifetime counter never goes down";
+    }
+  }
 }
 
 TEST(NetServerTest, DrainFinishesInFlightBuildBeforeExiting) {

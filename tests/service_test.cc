@@ -940,18 +940,9 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
   EXPECT_EQ(stats.Find("cache")->Find("hits")->number_value(), 1.0);
   EXPECT_EQ(stats.Find("cache")->Find("misses")->number_value(), 1.0);
   EXPECT_EQ(stats.Find("datasets")->array().size(), 1u);
-  const JsonValue& scheduler = *stats.Find("scheduler");
-  EXPECT_EQ(Keys(scheduler),
-            (std::set<std::string>{"graphs_run", "tasks_executed",
-                                   "max_concurrent_shards",
-                                   "queue_high_water"}));
-  EXPECT_EQ(scheduler.Find("graphs_run")->number_value(), 1.0);
-  EXPECT_EQ(scheduler.Find("tasks_executed")->number_value(), 3.0)
-      << "two shard tasks plus the merge task";
-  EXPECT_EQ(scheduler.Find("max_concurrent_shards")->number_value(), 1.0)
-      << "a parallelism: 1 build runs one shard at a time";
-  EXPECT_EQ(scheduler.Find("queue_high_water")->number_value(), 2.0)
-      << "both shards are ready at once";
+  EXPECT_EQ(Keys(stats), (std::set<std::string>{"v", "ok", "verb",
+                                                 "protocol_version", "cache",
+                                                 "transport", "datasets"}));
 
   const JsonValue evicted =
       Handle(R"({"verb":"evict","dataset":"p"})");

@@ -1,6 +1,6 @@
 // fc_serve: the coreset-build service over newline-delimited JSON —
 // register datasets (CSV, inline rows, synthetic generators), issue
-// sharded/cached build requests, inspect cache and scheduler stats,
+// sharded/cached build requests, inspect cache and transport stats,
 // evict. One request line in, one response line out; every response
 // line leads with the protocol version ("v":1); malformed requests
 // produce error-response lines and never terminate the server. Sharded

@@ -52,7 +52,9 @@ src/common/mutex.h (the constants the runtime rank checker enforces) is
 the one rank table, and each lock's rank is the constant its `Mutex`
 declaration is initialized with. Every declaration in the linted files
 is collected before any acquisition is checked, and an acquisition in
-foo.cc resolves against the declarations of foo.h and foo.cc. Config
+foo.cc resolves against the declarations of foo.h and foo.cc. A function
+body starts out holding the locks its FC_REQUIRES names, whether the
+annotation sits on the definition or on its declaration in foo.h. Config
 errors (unparseable or cyclic layers.toml, duplicate or non-positive
 lock_rank values) are findings like any other.
 
@@ -929,19 +931,30 @@ class LockRanks:
     ranks: Dict[str, int] = field(default_factory=dict)
     findings: List[Finding] = field(default_factory=list)
     decls: Dict[str, List[MutexDecl]] = field(default_factory=dict)
+    # path -> function name -> the locks its FC_REQUIRES names there.
+    requires: Dict[str, Dict[str, List[str]]] = field(default_factory=dict)
+
+    def _pair(self, path: str) -> List[str]:
+        """`path` and its header/source partner (foo.h <-> foo.cc)."""
+        stem = os.path.splitext(path)[0]
+        return [path] + [p for p in self.decls
+                         if p != path and os.path.splitext(p)[0] == stem]
 
     def rank_of(self, member: str, path: str) -> Optional[Tuple[int, str]]:
         """(rank, constant) of `member` as declared in `path` or its
-        header/source partner (foo.h <-> foo.cc); else None and the
-        acquisition is not order-checked."""
-        stem = os.path.splitext(path)[0]
-        pair = [path] + [p for p in self.decls
-                         if p != path and os.path.splitext(p)[0] == stem]
-        for p in pair:
+        partner; else None and the acquisition is not order-checked."""
+        for p in self._pair(path):
             for d in self.decls.get(p, []):
                 if d.member == member and d.rank is not None:
                     return d.rank, d.constant
         return None
+
+    def required_by(self, function: str, path: str) -> List[str]:
+        """Locks an FC_REQUIRES on `function` names in `path` or its
+        partner, so an out-of-line definition holds what its header
+        declaration requires."""
+        return [lock for p in self._pair(path)
+                for lock in self.requires.get(p, {}).get(function, [])]
 
 
 def load_lock_ranks(path: str) -> LockRanks:
@@ -1200,6 +1213,45 @@ def collect_mutex_decls(tokens: List[Token],
     return decls
 
 
+_REQUIRES_MACROS = ("FC_REQUIRES", "FC_EXCLUSIVE_LOCKS_REQUIRED")
+
+
+def _signature_locks(tokens: List[Token], lo: int,
+                     hi: int) -> Tuple[Optional[str], List[str]]:
+    """(function name, locks its FC_REQUIRES names) of the declaration or
+    signature tokens[lo:hi]; the name is the first identifier followed by
+    `(` that is not the annotation itself."""
+    name: Optional[str] = None
+    locks: List[str] = []
+    k = lo
+    while k + 1 < hi:
+        t = tokens[k]
+        if t.kind == "id" and tokens[k + 1].text == "(":
+            if t.text in _REQUIRES_MACROS:
+                close = _match_group(tokens, k + 1, "(", ")")
+                locks += [tk.text for tk in tokens[k + 2:min(close, hi)]
+                          if tk.kind == "id"]
+                k = close
+            elif name is None:
+                name = t.text
+        k += 1
+    return name, locks
+
+
+def collect_required_locks(tokens: List[Token]) -> Dict[str, List[str]]:
+    """Function name -> locks, for every declaration or definition in
+    `tokens` that carries an FC_REQUIRES."""
+    out: Dict[str, List[str]] = {}
+    start = 0
+    for i, t in enumerate(tokens):
+        if t.kind == "punct" and t.text in (";", "{", "}"):
+            name, locks = _signature_locks(tokens, start, i)
+            if name and locks:
+                out.setdefault(name, []).extend(locks)
+            start = i + 1
+    return out
+
+
 def rule_lock_order(path: str, tokens: List[Token],
                     ctx: "ProjectContext") -> List[Finding]:
     locks = ctx.locks
@@ -1240,7 +1292,8 @@ def rule_lock_order(path: str, tokens: List[Token],
                     return
 
         # Seed from FC_REQUIRES between the previous statement boundary
-        # and the body's opening brace.
+        # and the body's opening brace, and from the one on the
+        # function's declaration in this file or its header.
         sig_lo = 0
         k = lo - 1
         while k >= 0:
@@ -1249,21 +1302,13 @@ def rule_lock_order(path: str, tokens: List[Token],
                 sig_lo = k + 1
                 break
             k -= 1
-        k = sig_lo
-        while k < lo:
-            if tokens[k].kind == "id" and \
-                    tokens[k].text in ("FC_REQUIRES",
-                                       "FC_EXCLUSIVE_LOCKS_REQUIRED") and \
-                    k + 1 < lo and tokens[k + 1].text == "(":
-                close = _match_group(tokens, k + 1, "(", ")")
-                for tk in tokens[k + 2:min(close, lo)]:
-                    if tk.kind == "id":
-                        resolved = locks.rank_of(tk.text, path)
-                        if resolved is not None:
-                            held.append((-1, tk.text, resolved[0],
-                                         resolved[1]))
-                k = close
-            k += 1
+        name, required = _signature_locks(tokens, sig_lo, lo)
+        if name:
+            required += locks.required_by(name, path)
+        for lock_name in dict.fromkeys(required):
+            resolved = locks.rank_of(lock_name, path)
+            if resolved is not None:
+                held.append((-1, lock_name, resolved[0], resolved[1]))
 
         depth = 0
         idx = lo
@@ -1760,6 +1805,7 @@ def lint_sources(sources: Sequence[Tuple[str, str]], active_rules: Set[str],
         if _scope_lock_order(path):
             ctx.locks.decls[path] = collect_mutex_decls(lex.tokens,
                                                         ctx.locks.ranks)
+            ctx.locks.requires[path] = collect_required_locks(lex.tokens)
     findings = [f for f in ctx.config_findings() if f.rule in active_rules]
     for path, lex in lexed:
         findings.extend(lint_file(path, lex, active_rules, ctx))

@@ -5,7 +5,7 @@
 
 namespace fastcoreset::service {
 
-Mutex g_lock{lock_rank::kServiceScheduler};
+Mutex g_lock{lock_rank::kNetServer};
 int g_count FC_GUARDED_BY(g_lock) = 0;
 
 int Counted() {
