@@ -86,8 +86,9 @@ Cell Measure(service::CoresetService& svc, size_t k, size_t shards,
 
 /// Shard-overlap ratio: the same shards=4 rebuild with its shard builds
 /// run sequentially (parallelism = 1, one shard at a time, each on the
-/// full pool) vs concurrently (parallelism = 0, shards overlap on budget
-/// slices), best-of-`runs` wall clock each, at a pinned
+/// full pool) vs concurrently (parallelism = 0, all four shards at once
+/// as one pool dispatch, each on a fixed 4 / 4 = 1 thread slice),
+/// best-of-`runs` wall clock each, at a pinned
 /// 4-thread pool (the CI bench env does not set FC_THREADS). Returns
 /// sequential_wall / concurrent_wall — above 1.0 means overlapping the
 /// shards beat running them one after another on the same machine.

@@ -62,15 +62,18 @@ ChunkPlan PlanChunks(size_t n) {
 
 // True on any thread currently inside a substrate dispatch (pool workers
 // permanently, dispatchers for the duration of a call). A nested call
-// sees the flag and runs inline instead of re-entering the pool, which
-// would deadlock: the worker would park waiting for capacity that only
-// it can provide.
+// sees the flag and runs inline instead of re-entering the pool: a chunk
+// body dispatching again would otherwise stack fine-grained loops on a
+// pool that its own dispatch already spans. RunTasks lifts the flag for
+// the duration of each coarse task body, so a task may dispatch from a
+// pool worker. That cannot deadlock: a dispatcher claims its own chunks
+// until none is left and then waits only for executors already inside
+// them, never for a worker to become free.
 thread_local bool tls_in_parallel_region = false;
 
-// Per-thread executor cap installed by ParallelBudgetScope. Dispatches
-// from this thread request at most this many executors; RunTasks uses
-// it to hand each concurrent coarse task a slice of the worker budget.
-// SIZE_MAX = uncapped.
+// Executor cap for dispatches from this thread. Only RunTasks sets it,
+// to the slice of the pool each of its coarse tasks may use. SIZE_MAX =
+// uncapped.
 thread_local size_t tls_executor_budget = SIZE_MAX;
 
 void RunSerial(size_t n, const ChunkPlan& plan,
@@ -195,6 +198,10 @@ class ThreadPool {
   }
 
   void EnsureWorkersLocked(size_t target) FC_REQUIRES(mutex_) {
+    // A worker spawned during Shutdown would exit at once yet stay
+    // counted in workers_, leaving later dispatches short of live
+    // workers; the dispatcher can claim every chunk itself meanwhile.
+    if (stopping_) return;
     target = std::min(target, kMaxEnvThreads - 1);
     while (workers_.size() < target) {
       workers_.emplace_back([this] { WorkerLoop(); });
@@ -269,6 +276,24 @@ class ThreadPool {
   bool stopping_ FC_GUARDED_BY(mutex_) = false;
 };
 
+// Runs `body` over `plan` on up to `executors` executors of the pool and
+// returns true, or returns false without running anything when the call
+// must stay on the caller: one executor, or already inside a dispatch
+// (see tls_in_parallel_region).
+bool RunOnPool(size_t n, const ChunkPlan& plan, size_t executors,
+               const std::function<void(size_t, size_t, size_t)>& body) {
+  if (executors <= 1 || tls_in_parallel_region) return false;
+  tls_in_parallel_region = true;
+  ThreadPool::Instance().Run(n, plan, executors, body);
+  tls_in_parallel_region = false;
+  return true;
+}
+
+// Pool width a dispatch from this thread may use.
+size_t ExecutorWidth() {
+  return std::min(GetNumThreads(), tls_executor_budget);
+}
+
 }  // namespace
 
 void SetNumThreads(size_t count) {
@@ -288,18 +313,6 @@ size_t GetNumThreads() {
 
 size_t MaxParallelism() { return kMaxEnvThreads; }
 
-ParallelBudgetScope::ParallelBudgetScope(size_t max_executors)
-    : previous_(tls_executor_budget) {
-  if (max_executors == 0) max_executors = 1;
-  // Nesting only tightens: an inner scope cannot widen the slice its
-  // caller was handed.
-  tls_executor_budget = std::min(previous_, max_executors);
-}
-
-ParallelBudgetScope::~ParallelBudgetScope() {
-  tls_executor_budget = previous_;
-}
-
 size_t EffectiveParallelism(size_t parallelism) {
   const size_t threads = GetNumThreads();
   return parallelism == 0 ? threads
@@ -308,27 +321,27 @@ size_t EffectiveParallelism(size_t parallelism) {
 
 void RunTasks(size_t count, size_t parallelism,
               const std::function<void(size_t)>& task) {
-  const size_t pool_width = GetNumThreads();
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> in_flight{0};
-  const auto executor = [&] {
-    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      const size_t running = in_flight.fetch_add(1) + 1;
-      {
-        // With R tasks in flight each gets pool_width / R workers (at
-        // least its own thread); a lone task has the whole pool.
-        ParallelBudgetScope scope(std::max<size_t>(1, pool_width / running));
-        task(i);
-      }
-      in_flight.fetch_sub(1);
-    }
-  };
+  if (count == 0) return;
+  const size_t width = ExecutorWidth();
   const size_t executors =
-      std::min(EffectiveParallelism(parallelism), count);
-  std::vector<std::thread> helpers;
-  for (size_t e = 1; e < executors; ++e) helpers.emplace_back(executor);
-  executor();
-  for (std::thread& helper : helpers) helper.join();
+      std::min({EffectiveParallelism(parallelism), count, width});
+  // A fixed slice per task, so the tasks' inner dispatches together
+  // engage at most `width` executors however their runs overlap.
+  const size_t slice = width / executors;
+  const bool pooled = RunOnPool(
+      count, ChunkPlan{count, 1}, executors,
+      [&](size_t i, size_t /*begin*/, size_t /*end*/) {
+        const bool region = tls_in_parallel_region;
+        const size_t budget = tls_executor_budget;
+        tls_in_parallel_region = false;
+        tls_executor_budget = slice;
+        task(i);
+        tls_in_parallel_region = region;
+        tls_executor_budget = budget;
+      });
+  if (!pooled) {
+    for (size_t i = 0; i < count; ++i) task(i);
+  }
 }
 
 void ShutdownThreadPool() { ThreadPool::Instance().Shutdown(); }
@@ -343,15 +356,9 @@ void ParallelForChunks(
     size_t n, const std::function<void(size_t, size_t, size_t)>& body) {
   if (n == 0) return;
   const ChunkPlan plan = PlanChunks(n);
-  const size_t executors = std::min(
-      {GetNumThreads(), plan.chunks, tls_executor_budget});
-  if (executors <= 1 || tls_in_parallel_region) {
+  if (!RunOnPool(n, plan, std::min(ExecutorWidth(), plan.chunks), body)) {
     RunSerial(n, plan, body);
-    return;
   }
-  tls_in_parallel_region = true;
-  ThreadPool::Instance().Run(n, plan, executors, body);
-  tls_in_parallel_region = false;
 }
 
 void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body) {

@@ -20,15 +20,18 @@
 // dispatch owns its own executor group (its own claim counter and cap),
 // the dispatcher always participates in its own group, and parked
 // workers join whichever group is still short of its requested executor
-// count. This is what RunTasks builds on — N independent coarse tasks
-// (shard builds) each dispatch their inner chunk loops here, capped to a
-// slice of the worker budget via ParallelBudgetScope, so the groups
-// partition the pool instead of serializing behind one dispatch slot.
+// count.
 //
-// Nested parallelism is safe but serial: a body that itself calls into
-// the substrate runs that inner loop inline on the calling thread — the
-// reentrancy guard keeps a pool worker from ever blocking on a dispatch
-// that needs the pool it occupies.
+// RunTasks is one more dispatch on the same pool: N independent coarse
+// tasks (shard builds) are the chunks of a plan with chunk size 1. Each
+// task body may itself dispatch its inner chunk loops, capped to a fixed
+// slice of the pool, so the two tiers partition the pool's threads
+// instead of oversubscribing them. Every thread the substrate starts is a
+// pool worker.
+//
+// Nested parallelism is otherwise safe but serial: a chunk body that
+// itself calls into the substrate runs that inner loop inline on the
+// calling thread.
 //
 // Parallelism is opt-in: the global thread count defaults to 1 (serial),
 // keeping single-threaded reproducibility unless the caller calls
@@ -64,43 +67,25 @@ size_t GetNumThreads();
 /// request-validating frontends.
 size_t MaxParallelism();
 
-/// RAII cap on the executor count dispatches from the CURRENT thread may
-/// use: inside the scope, ParallelFor/ParallelReduce/ParallelForChunks
-/// request at most `max_executors` executors (the calling thread plus
-/// pool workers) regardless of GetNumThreads(). A cap of 0 or 1 runs
-/// dispatches inline. Scopes nest; the inner scope may only tighten the
-/// cap. This is how RunTasks hands each concurrent coarse task a slice
-/// of the worker budget — chunk geometry is a function of n alone, so
-/// the cap affects scheduling only, never results.
-class ParallelBudgetScope {
- public:
-  explicit ParallelBudgetScope(size_t max_executors);
-  ~ParallelBudgetScope();
-  ParallelBudgetScope(const ParallelBudgetScope&) = delete;
-  ParallelBudgetScope& operator=(const ParallelBudgetScope&) = delete;
-
- private:
-  size_t previous_;
-};
-
 /// The effective coarse-task concurrency for a requested budget: 0 means
 /// GetNumThreads(); anything else is clamped to [1, GetNumThreads()].
 size_t EffectiveParallelism(size_t parallelism);
 
 /// Fork-join over independent coarse tasks: runs task(i) for every i in
-/// [0, count) on up to EffectiveParallelism(parallelism) executors, the
-/// caller being one of them, and returns once every task has finished.
-/// Tasks are claimed in index order, so parallelism = 1 runs them in
-/// order on the caller with no extra thread. The budget caps how many
-/// tasks overlap, not the pool width: each running task executes under a
-/// ParallelBudgetScope of max(1, GetNumThreads() / tasks_in_flight), so
-/// the two tiers together never oversubscribe the pool beyond the
-/// integer-division slack. Tasks must not throw; a failing task records
-/// its failure in caller-owned state (one slot per index).
+/// [0, count) and returns once every task has finished. The tasks run on
+/// E = min(EffectiveParallelism(parallelism), count) executors of the
+/// persistent pool, the caller being one of them, claimed in index order.
+/// Each task's own dispatches get a fixed slice of GetNumThreads() / E
+/// executors, so the two tiers together never use more than
+/// GetNumThreads() threads. With E = 1, or when called from inside a
+/// chunk body, the tasks run in index order on the caller, and their
+/// dispatches keep the caller's width. Tasks must not throw; a failing
+/// task records its failure in caller-owned state (one slot per index).
 ///
-/// ShutdownThreadPool() concurrent with RunTasks is safe: a task's inner
-/// dispatches drain on its own executor thread, they only lose their
-/// pool workers until the pool lazily re-initializes.
+/// ShutdownThreadPool() concurrent with RunTasks is safe: every
+/// dispatcher, a task body included, can claim all of its own chunks, so
+/// the tasks only lose their pool workers until the pool lazily
+/// re-initializes.
 void RunTasks(size_t count, size_t parallelism,
               const std::function<void(size_t)>& task);
 

@@ -38,8 +38,9 @@ struct BuildRequest {
   api::CoresetSpec spec;
   size_t shards = 1;
   /// Parallelism budget for the sharded build: caps how many shards
-  /// build concurrently (0 = all workers, GetNumThreads()); the shards
-  /// in flight partition the pool's workers between them. 1 = the
+  /// build concurrently (0 = all workers, GetNumThreads()); each of the
+  /// E = min(budget, shards) concurrent shards gets a fixed
+  /// GetNumThreads() / E slice of the pool for its inner loops. 1 = the
   /// sequential reference walk — one shard at a time, each on the full
   /// pool. Validated against MaxParallelism();
   /// NEVER part of the cache key, because the budget only changes the

@@ -102,11 +102,11 @@ api::FcStatusOr<ShardedBuildResult> BuildSharded(const api::CoresetSpec& spec,
   }
   diag.has_merge = shards > 1;
 
-  // Fork: one independent build per shard, each internally parallel on
-  // its budget slice. The schedule decides only WHEN a shard builds:
-  // seeds are derived per shard and the merge consumes shard coresets in
-  // fixed shard order, so concurrent execution is bit-identical to the
-  // sequential walk.
+  // Fork: one independent build per shard on the pool, each internally
+  // parallel on its fixed slice of the pool. The schedule decides only
+  // WHEN a shard builds: seeds are derived per shard and the merge
+  // consumes shard coresets in fixed shard order, so concurrent
+  // execution is bit-identical to the sequential walk.
   diag.parallelism = EffectiveParallelism(parallelism);
   RunTasks(shards, diag.parallelism,
            [&spec, &points, &plan, &built, &diag, &wall](size_t i) {

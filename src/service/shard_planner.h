@@ -10,8 +10,9 @@
 // coreset, whose indices still refer to the original dataset rows.
 //
 // Execution is a fork-join (RunTasks, src/common/parallel.h): the shard
-// builds run on up to `parallelism` executors, each shard's inner chunk
-// dispatches capped to a slice of the worker budget; after the join the
+// builds run as one dispatch on the persistent pool, up to `parallelism`
+// at once, each shard's inner chunk dispatches capped to a fixed slice
+// of the pool (GetNumThreads() / shards in flight); after the join the
 // merge runs on the caller with the whole pool.
 //
 // Diagnostics: every build writes its accounting in place into the

@@ -4,8 +4,9 @@
 // deadlocking), worker counts exceeding the chunk count, repeated
 // init/teardown via ShutdownThreadPool, exact coverage of the chunk
 // partition whichever executor claims each chunk, concurrent independent
-// dispatches, budget scoping (a capped dispatch never engages more
-// executors than its cap), and shutdown racing running coarse tasks.
+// dispatches, RunTasks on the pool (its tasks run on pool workers, and
+// neither tier engages more executors than its cap), and shutdown racing
+// running coarse tasks.
 
 #include <atomic>
 #include <chrono>
@@ -48,6 +49,24 @@ class InFlightPeak {
   std::atomic<size_t> in_flight_{0};
   std::atomic<size_t> peak_{0};
 };
+
+void SpinFor(std::chrono::microseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Two-party barrier with a 1 s deadline: true when the other party
+// arrived in time.
+bool MeetPartner(std::atomic<int>& arrived) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return arrived.load() >= 2;
+}
 
 double SerialReferenceSum(size_t n) {
   double total = 0.0;
@@ -208,51 +227,11 @@ TEST(ThreadPoolTest, ConcurrentIndependentDispatchesAreBothExact) {
   }
 }
 
-TEST(ThreadPoolTest, BudgetScopeOfOneForcesSerialExecution) {
-  ShutdownThreadPool();
-  ThreadCountGuard guard(8);
-  {
-    ParallelBudgetScope scope(1);
-    double total = 0.0;  // Unsynchronized on purpose: must run serially.
-    ParallelFor(kRows, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) total += 1.0;
-    });
-    EXPECT_EQ(total, static_cast<double>(kRows));
-    // The serial path never touches the pool, so no workers spin up.
-    EXPECT_EQ(ThreadPoolWorkerCount(), 0u);
-  }
-  // Scope gone: the same dispatch engages the pool again.
-  EXPECT_EQ(ParallelReduce(kRows,
-                           [](size_t begin, size_t end) {
-                             double partial = 0.0;
-                             for (size_t i = begin; i < end; ++i) {
-                               partial += static_cast<double>(i % 97);
-                             }
-                             return partial;
-                           }),
-            SerialReferenceSum(kRows));
-  EXPECT_GT(ThreadPoolWorkerCount(), 0u);
-}
-
-TEST(ThreadPoolTest, NestedBudgetScopesOnlyTighten) {
-  ThreadCountGuard guard(8);
-  ParallelBudgetScope outer(1);
-  {
-    // An inner scope asking for MORE budget than the outer must not win:
-    // a node granted a 1-thread slice cannot widen itself back out.
-    ParallelBudgetScope inner(8);
-    double total = 0.0;  // Unsynchronized on purpose.
-    ParallelFor(kRows, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) total += 1.0;
-    });
-    EXPECT_EQ(total, static_cast<double>(kRows));
-  }
-}
-
 TEST(ThreadPoolTest, CappedDispatchOnGrownPoolNeverExceedsItsCap) {
-  // An uncapped 8-thread dispatch grows 7 workers; a later dispatch
-  // capped at 2 executors must engage only one of them, however many
-  // are parked and idle.
+  // An uncapped 8-thread dispatch grows 7 workers; a later RunTasks at
+  // parallelism 2 must engage only one of them for its tasks, and each
+  // task's inner loop only its 8 / 2 = 4 executor slice, however many
+  // workers are parked and idle.
   ShutdownThreadPool();
   ThreadCountGuard guard(8);
   EXPECT_EQ(ParallelReduce(kRows,
@@ -266,26 +245,32 @@ TEST(ThreadPoolTest, CappedDispatchOnGrownPoolNeverExceedsItsCap) {
             SerialReferenceSum(kRows));
   ASSERT_EQ(ThreadPoolWorkerCount(), 7u);
 
-  ParallelBudgetScope scope(2);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<std::atomic<uint32_t>> visits(kRows);
+  constexpr size_t kTasks = 4;
+  for (int round = 0; round < 10; ++round) {
+    std::vector<std::atomic<uint32_t>> visits(kTasks * kRows);
     for (auto& v : visits) v.store(0);
-    InFlightPeak chunks;
-    ParallelFor(kRows, [&](size_t begin, size_t end) {
-      chunks.Enter();
-      // Hold the chunk briefly so idle workers have every chance to pile
-      // onto the dispatch if the cap let them.
-      const auto until =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(100);
-      while (std::chrono::steady_clock::now() < until) {
-      }
-      for (size_t i = begin; i < end; ++i) {
-        visits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-      chunks.Leave();
+    InFlightPeak tasks;
+    InFlightPeak chunks[kTasks];
+    RunTasks(kTasks, /*parallelism=*/2, [&](size_t task) {
+      tasks.Enter();
+      ParallelFor(kRows, [&](size_t begin, size_t end) {
+        chunks[task].Enter();
+        // Hold the chunk briefly so idle workers have every chance to
+        // pile onto the dispatch if the cap let them.
+        SpinFor(std::chrono::microseconds(100));
+        for (size_t i = begin; i < end; ++i) {
+          visits[task * kRows + i].fetch_add(1, std::memory_order_relaxed);
+        }
+        chunks[task].Leave();
+      });
+      tasks.Leave();
     });
-    ASSERT_LE(chunks.peak(), 2u) << "round " << round;
-    for (size_t i = 0; i < kRows; ++i) {
+    ASSERT_LE(tasks.peak(), 2u) << "round " << round;
+    for (size_t task = 0; task < kTasks; ++task) {
+      ASSERT_LE(chunks[task].peak(), 4u) << "round " << round << " task "
+                                         << task;
+    }
+    for (size_t i = 0; i < visits.size(); ++i) {
       ASSERT_EQ(visits[i].load(), 1u) << "round " << round << " index " << i;
     }
   }
@@ -358,6 +343,49 @@ TEST(RunTasksTest, TasksDispatchingParallelWorkCompose) {
   }
 }
 
+// Counts RunTasks task bodies run by the current thread.
+thread_local int tls_tasks_run = 0;
+
+TEST(RunTasksTest, TasksRunOnPoolWorkersNotOnThreadsMadePerCall) {
+  // Two tasks meet at a barrier, so both executors must run one: the
+  // caller and one other thread. With one pool worker that other thread
+  // is the same worker on every call, so its thread-local count keeps
+  // growing; a thread made per call would start again from zero.
+  ShutdownThreadPool();
+  ThreadCountGuard guard(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  int other_count = 0;
+  for (int call = 1; call <= 3; ++call) {
+    std::atomic<int> arrived{0};
+    RunTasks(2, /*parallelism=*/2, [&](size_t) {
+      MeetPartner(arrived);
+      if (std::this_thread::get_id() != caller) {
+        other_count = ++tls_tasks_run;
+      }
+    });
+    EXPECT_EQ(other_count, call);
+  }
+  EXPECT_EQ(ThreadPoolWorkerCount(), 1u);
+}
+
+TEST(RunTasksTest, TwoTiersStayWithinThePoolWidth) {
+  // Four tasks at parallelism 0 on 4 threads: each task's inner loop
+  // gets a 4 / 4 = 1 executor slice, so at most 4 chunk bodies run at
+  // once across all tasks, however the tasks' starts interleave.
+  ThreadCountGuard guard(4);
+  for (int round = 0; round < 10; ++round) {
+    InFlightPeak chunks;
+    RunTasks(4, /*parallelism=*/0, [&](size_t) {
+      ParallelFor(kRows, [&](size_t, size_t) {
+        chunks.Enter();
+        SpinFor(std::chrono::microseconds(100));
+        chunks.Leave();
+      });
+    });
+    ASSERT_LE(chunks.peak(), GetNumThreads()) << "round " << round;
+  }
+}
+
 TEST(RunTasksTest, ShutdownRacingRunningTasksNeverDeadlocks) {
   // The drain-safety regression: ShutdownThreadPool() fired while tasks
   // are mid-flight (some still unclaimed, some dispatching chunk work
@@ -406,6 +434,41 @@ TEST(RunTasksTest, ShutdownRacingRunningTasksNeverDeadlocks) {
               expected);
     ShutdownThreadPool();
   }
+}
+
+TEST(RunTasksTest, ShutdownRacingADispatchLeavesLiveWorkers) {
+  // Shutdown joins the grown pool while the tasks' inner dispatches ask
+  // it for workers. A thread spawned during the shutdown exits at once;
+  // if the pool still counted it, later dispatches would find no live
+  // worker. Two chunks meeting at a barrier need a second executor, so
+  // the first waits out its deadline when only the caller runs them.
+  const auto body = [](size_t begin, size_t end) {
+    double partial = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      partial += static_cast<double>(i % 97);
+    }
+    return partial;
+  };
+  const size_t two_chunks = 8192;
+  ASSERT_EQ(ParallelChunkCount(two_chunks), 2u);
+  ThreadCountGuard guard(4);
+  for (int round = 0; round < 10; ++round) {
+    ParallelReduce(kRows, body);  // Grow the pool.
+    std::thread runner([&body] {
+      RunTasks(8, /*parallelism=*/2,
+               [&body](size_t) { ParallelReduce(kRows, body); });
+    });
+    ShutdownThreadPool();
+    runner.join();
+
+    std::atomic<int> arrived{0};
+    std::atomic<bool> met{true};
+    ParallelFor(two_chunks, [&](size_t, size_t) {
+      if (!MeetPartner(arrived)) met.store(false);
+    });
+    ASSERT_TRUE(met.load()) << "round " << round;
+  }
+  ShutdownThreadPool();
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // composability argument), so one reduce of that union should cost
 // little accuracy; compounding re-sampling would not. Fixed seeds, mean
 // distortion over several build seeds, shards {2, 4, 8} against
-// shards = 1.
+// shards = 1, for every method in the method table.
 
 #include <cmath>
 #include <string>
@@ -63,15 +63,61 @@ void ExpectShardedCloseToUnsharded(const Matrix& points,
   }
 }
 
-TEST(ShardedQualityTest, GaussianMixtureFastCoresetTracksUnsharded) {
+/// The Gaussian-mixture data every per-method case below builds on.
+Matrix GaussianMixturePoints() {
   Rng rng(2024);
-  const Matrix points = GenerateGaussianMixture(
-      /*n=*/10000, /*d=*/8, /*kappa=*/16, /*gamma=*/0.5, rng);
+  return GenerateGaussianMixture(/*n=*/10000, /*d=*/8, /*kappa=*/16,
+                                 /*gamma=*/0.5, rng);
+}
+
+api::CoresetSpec GaussianMixtureSpec(const std::string& method) {
   api::CoresetSpec spec;
-  spec.method = "fast_coreset";
+  spec.method = method;
   spec.k = 25;
   spec.m = 1000;
-  ExpectShardedCloseToUnsharded(points, spec, 1.05);
+  return spec;
+}
+
+TEST(ShardedQualityTest, GaussianMixtureFastCoresetTracksUnsharded) {
+  ExpectShardedCloseToUnsharded(GaussianMixturePoints(),
+                                GaussianMixtureSpec("fast_coreset"), 1.05);
+}
+
+TEST(ShardedQualityTest, GaussianMixtureGroupSamplingTracksUnsharded) {
+  ExpectShardedCloseToUnsharded(GaussianMixturePoints(),
+                                GaussianMixtureSpec("group_sampling"), 1.1);
+}
+
+TEST(ShardedQualityTest, GaussianMixtureLightweightTracksUnsharded) {
+  ExpectShardedCloseToUnsharded(GaussianMixturePoints(),
+                                GaussianMixtureSpec("lightweight"), 1.1);
+}
+
+TEST(ShardedQualityTest, GaussianMixtureSensitivityTracksUnsharded) {
+  ExpectShardedCloseToUnsharded(GaussianMixturePoints(),
+                                GaussianMixtureSpec("sensitivity"), 1.1);
+}
+
+TEST(ShardedQualityTest, GaussianMixtureStreamKmTracksUnsharded) {
+  ExpectShardedCloseToUnsharded(GaussianMixturePoints(),
+                                GaussianMixtureSpec("stream_km"), 1.1);
+}
+
+TEST(ShardedQualityTest, GaussianMixtureWelterweightTracksUnsharded) {
+  ExpectShardedCloseToUnsharded(GaussianMixturePoints(),
+                                GaussianMixtureSpec("welterweight"), 1.1);
+}
+
+TEST(ShardedQualityTest, GaussianMixtureBicoStaysFinite) {
+  // Finite only: BICO's unsharded distortion is already several times 1
+  // at this m (the shape of the paper's Table 6), so a ratio against it
+  // measures BICO's own variance, not what the merge costs.
+  const Matrix points = GaussianMixturePoints();
+  const api::CoresetSpec spec = GaussianMixtureSpec("bico");
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    EXPECT_TRUE(std::isfinite(MeanShardedDistortion(points, spec, shards)))
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardedQualityTest, COutlierUniformTracksUnsharded) {
