@@ -1,7 +1,6 @@
-// Facade entry points: spec validation, one-shot and streaming builds,
-// and the CoresetBuilder adapter for merge-&-reduce composition.
+// Facade entry points: spec validation, one-shot builds, and the
+// CoresetBuilder adapter for merge-&-reduce composition.
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -180,49 +179,6 @@ FcStatusOr<CoresetBuilder> MakeBuilder(const CoresetSpec& spec) {
         "compressor supplies weights per call)");
   }
   return BuilderFor(algo.value(), spec);
-}
-
-FcStatusOr<BuildResult> BuildStreaming(const CoresetSpec& spec,
-                                       const Matrix& points,
-                                       size_t block_size) {
-  if (block_size == 0) {
-    return FcStatus::InvalidArgument("block_size must be >= 1");
-  }
-  FcStatusOr<const CoresetAlgorithm*> algo = ResolveAndValidate(spec);
-  if (!algo.ok()) return algo.status();
-  if (!spec.weights.empty()) {
-    return FcStatus::InvalidArgument(
-        "spec.weights is not supported for streaming builds (push "
-        "weighted batches through StreamingCompressor directly)");
-  }
-  const FcStatus status = ValidateInput(*algo.value(), points, /*weights=*/{});
-  if (!status.ok()) return status;
-
-  const size_t m = spec.EffectiveM();
-  BuildDiagnostics diag = StartDiagnostics(*algo.value(), spec, points, m);
-
-  Timer timer;
-  Rng rng(spec.seed);
-  StreamingCompressor compressor(BuilderFor(algo.value(), spec), m, &rng);
-  for (size_t start = 0; start < points.rows(); start += block_size) {
-    const size_t end = std::min(points.rows(), start + block_size);
-    std::vector<size_t> rows(end - start);
-    for (size_t i = start; i < end; ++i) rows[i - start] = i;
-    compressor.Push(points.SelectRows(rows));
-  }
-  diag.stages.push_back({"push_blocks", timer.Seconds()});
-  diag.stream_blocks = compressor.BlocksConsumed();
-  diag.stream_levels = compressor.OccupiedLevels();
-
-  Timer finalize_timer;
-  Coreset coreset = compressor.Finalize();
-  diag.stages.push_back({"finalize", finalize_timer.Seconds()});
-  diag.stream_reduce_ops = compressor.ReduceOps();
-  diag.points_processed = compressor.BuilderRowsProcessed();
-  diag.bytes_processed =
-      diag.points_processed * points.cols() * sizeof(double);
-  FinishDiagnostics(coreset, timer.Seconds(), &diag);
-  return BuildResult{std::move(coreset), std::move(diag)};
 }
 
 Coreset SampleFromSolution(const Matrix& points,

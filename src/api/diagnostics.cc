@@ -41,12 +41,6 @@ std::string BuildDiagnostics::ToString() const {
   AppendLine(&out, "output_rows", std::to_string(output_rows));
   AppendLine(&out, "output_total_weight",
              FormatDouble(output_total_weight));
-  if (stream_blocks > 0) {
-    AppendLine(&out, "stream_blocks", std::to_string(stream_blocks));
-    AppendLine(&out, "stream_reduce_ops",
-               std::to_string(stream_reduce_ops));
-    AppendLine(&out, "stream_levels", std::to_string(stream_levels));
-  }
   for (const StageTime& stage : stages) {
     AppendLine(&out, ("stage." + stage.name + "_seconds").c_str(),
                FormatDouble(stage.seconds));

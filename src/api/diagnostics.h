@@ -20,10 +20,10 @@ using fastcoreset::StageTime;
 
 /// What a build actually did. All fields are filled by the facade; the
 /// per-stage vector additionally gets method-internal stages where the
-/// core records them (FastCoreset appends its Algorithm 1 stages itself,
-/// streaming builds report per-phase reduce work). This is the one record
-/// of a build: the service's sharded diagnostics hold one per shard plus
-/// one for the merge rather than copying its fields.
+/// core records them (FastCoreset appends its Algorithm 1 stages itself).
+/// This is the one record of a build: the service's sharded diagnostics
+/// hold one per shard plus one for the merge rather than copying its
+/// fields.
 struct BuildDiagnostics {
   std::string method;        ///< Canonical method name used.
   uint64_t seed = 0;         ///< Rng seed (meaningful when !external_rng).
@@ -31,9 +31,7 @@ struct BuildDiagnostics {
 
   size_t input_rows = 0;   ///< n of the build input.
   size_t input_dims = 0;   ///< d of the build input.
-  /// Rows fed through compression, including streaming re-reductions
-  /// (== input_rows for one-shot builds).
-  size_t points_processed = 0;
+  size_t points_processed = 0;  ///< Rows fed through compression.
   /// points_processed * input_dims * sizeof(double).
   size_t bytes_processed = 0;
 
@@ -48,11 +46,6 @@ struct BuildDiagnostics {
 
   size_t output_rows = 0;          ///< Coreset rows produced.
   double output_total_weight = 0;  ///< Kahan-summed coreset weight.
-
-  /// Streaming (merge-&-reduce) builds only; 0 for one-shot builds.
-  size_t stream_blocks = 0;      ///< Blocks pushed.
-  size_t stream_reduce_ops = 0;  ///< Builder invocations beyond the blocks.
-  size_t stream_levels = 0;      ///< Occupied levels at finalize.
 
   std::vector<StageTime> stages;  ///< Wall-clock per pipeline stage.
   double total_seconds = 0.0;     ///< Wall-clock of the whole build.

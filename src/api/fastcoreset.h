@@ -26,7 +26,8 @@
 //
 // Streaming composition (merge-&-reduce) is re-exported here:
 // wrap any spec into a CoresetBuilder with MakeBuilder() and feed a
-// StreamingCompressor, or let BuildStreaming() run the whole pipeline.
+// StreamingCompressor, or hand it to StreamingCompress() for a one-shot
+// pass over an in-memory matrix.
 // For a long-lived request-driven front (named datasets, sharded builds,
 // an LRU build cache), see src/service/service.h.
 
@@ -78,15 +79,6 @@ FcStatusOr<BuildResult> Build(const CoresetSpec& spec, const Matrix& points,
 /// to bico) aborts with the validation message rather than returning an
 /// error; vet user-supplied batches with Build() first when in doubt.
 FcStatusOr<CoresetBuilder> MakeBuilder(const CoresetSpec& spec);
-
-/// One-shot merge-&-reduce streaming build: consumes `points` in blocks
-/// of `block_size` through a StreamingCompressor over the spec's method
-/// and finalizes. Diagnostics additionally report stream_blocks /
-/// stream_reduce_ops / stream_levels, and points_processed counts the
-/// re-reduction work.
-FcStatusOr<BuildResult> BuildStreaming(const CoresetSpec& spec,
-                                       const Matrix& points,
-                                       size_t block_size);
 
 /// Advanced: the sensitivity-sampling tail over a caller-provided
 /// candidate solution — the common backend of the whole j-center spectrum

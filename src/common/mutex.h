@@ -3,7 +3,7 @@
 // cannot see std::lock_guard acquisitions; these thin wrappers are the
 // annotated equivalents every mutex-guarded class in the tree uses:
 //
-//   Mutex      — std::mutex as an FC_CAPABILITY (Lock/Unlock/TryLock).
+//   Mutex      — std::mutex as an FC_CAPABILITY (Lock/Unlock).
 //   MutexLock  — std::lock_guard as an FC_SCOPED_CAPABILITY.
 //   CondVar    — std::condition_variable over a Mutex; Wait() FC_REQUIRES
 //                the mutex, so waiting without it is a compile error.
@@ -141,10 +141,9 @@ inline void PopHeld(const void* mutex) {
 #endif  // FC_MUTEX_RANK_CHECKS
 
 /// std::mutex with capability annotations. Prefer MutexLock over manual
-/// Lock/Unlock pairs; TryLock is for opportunistic paths that fall back
-/// to lock-free work (see ThreadPool::Run). Long-lived mutexes take
-/// their lock_rank tier in the constructor; the default constructor is
-/// rank-exempt (tests, short-lived locals).
+/// Lock/Unlock pairs. Long-lived mutexes take their lock_rank tier in the
+/// constructor; the default constructor is rank-exempt (tests,
+/// short-lived locals).
 class FC_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -163,20 +162,11 @@ class FC_CAPABILITY("mutex") Mutex {
     rank_check_internal::PopHeld(this);
     mutex_.unlock();
   }
-  bool TryLock() FC_TRY_ACQUIRE(true) {
-    // A failed try is not an acquisition and cannot deadlock, so only a
-    // successful one is rank-checked (it holds the lock like any other).
-    if (!mutex_.try_lock()) return false;
-    rank_check_internal::CheckAcquire(rank_);
-    rank_check_internal::PushHeld(this, rank_);
-    return true;
-  }
 #else
   explicit Mutex(int rank) { static_cast<void>(rank); }
 
   void Lock() FC_ACQUIRE() { mutex_.lock(); }
   void Unlock() FC_RELEASE() { mutex_.unlock(); }
-  bool TryLock() FC_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 #endif
 
  private:

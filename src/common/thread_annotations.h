@@ -56,11 +56,6 @@
 #define FC_RELEASE(...) \
   FC_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
 
-/// On a function returning bool: acquires the mutex when the return value
-/// equals the first argument (e.g. FC_TRY_ACQUIRE(true)).
-#define FC_TRY_ACQUIRE(...) \
-  FC_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
 /// On a function: callers must NOT hold the given mutex(es) (deadlock
 /// guard for self-locking public entry points).
 #define FC_EXCLUDES(...) \

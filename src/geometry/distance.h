@@ -12,8 +12,13 @@
 //     norm-cached form ‖x − c‖² = ‖x‖² − 2x·c + ‖c‖². The inner loop is a
 //     contiguous dot product (one fma per element after vectorization,
 //     versus sub+mul+add for the direct form) and each center tile is
-//     reused across the whole point block. Every O(nkd) consumer in the
-//     library routes through this kernel via ParallelFor.
+//     reused across the whole point block. Only the clustering cost and
+//     assignment passes (src/clustering/cost.cc) and k-means||'s candidate
+//     reclustering (src/clustering/kmeans_parallel.cc) call it, directly
+//     or through AssignToNearest. KMeansPlusPlus, the O(nkd) seeding
+//     behind sensitivity, welterweight and stream_km, does not: it
+//     updates each point's distance to every new center with the scalar
+//     SquaredL2.
 //
 // The batched kernel is deterministic: a point's result depends only on
 // the point and the centers, never on block or chunk boundaries, so

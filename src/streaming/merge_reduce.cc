@@ -29,7 +29,6 @@ StreamingCompressor::StreamingCompressor(CoresetBuilder builder, size_t m,
 void StreamingCompressor::Push(const Matrix& batch,
                                const std::vector<double>& weights) {
   FC_CHECK_GT(batch.rows(), 0u);
-  builder_rows_ += batch.rows();
   Coreset block = builder_(batch, weights, m_, *rng_);
   // Builder indices are batch-relative; shift them to stream positions.
   for (size_t& idx : block.indices) {
@@ -63,7 +62,6 @@ Coreset StreamingCompressor::MergeReduce(const Coreset& a,
                        b.indices.end());
 
   ++reduce_ops_;
-  builder_rows_ += merged_points.rows();
   Coreset reduced = builder_(merged_points, merged_weights, m_, *rng_);
   TranslateIndices(source_of_row, &reduced);
   return reduced;
@@ -84,7 +82,6 @@ Coreset StreamingCompressor::Finalize() const {
   FC_CHECK_MSG(all_points.rows() > 0, "Finalize() before any Push()");
 
   finalize_ops_ = 1;
-  finalize_rows_ = all_points.rows();
   Coreset final_coreset = builder_(all_points, all_weights, m_, *rng_);
   TranslateIndices(source_of_row, &final_coreset);
   return final_coreset;

@@ -46,23 +46,12 @@ class StreamingCompressor {
   /// Total number of blocks consumed.
   size_t BlocksConsumed() const { return blocks_; }
 
-  /// Total input rows pushed so far.
-  size_t RowsConsumed() const { return global_offset_; }
-
   /// Builder invocations beyond the per-block compressions (level merges
   /// plus the latest Finalize() reduction) — the compression overhead
-  /// merge-&-reduce pays for bounded memory. Feeds the facade's build
-  /// diagnostics. Finalize() contributes a snapshot, not an accumulation,
-  /// so callers that finalize repeatedly (periodic summaries of a live
-  /// stream) are not over-counted.
+  /// merge-&-reduce pays for bounded memory. Finalize() contributes a
+  /// snapshot, not an accumulation, so callers that finalize repeatedly
+  /// (periodic summaries of a live stream) are not over-counted.
   size_t ReduceOps() const { return reduce_ops_ + finalize_ops_; }
-
-  /// Total rows fed through the builder — blocks, level merges, and the
-  /// latest Finalize() reduction (the stream's true "points processed"
-  /// accounting, with the same snapshot semantics as ReduceOps()).
-  size_t BuilderRowsProcessed() const {
-    return builder_rows_ + finalize_rows_;
-  }
 
  private:
   /// Binary-counter carry: installs a coreset at `level`, merging upward
@@ -77,13 +66,11 @@ class StreamingCompressor {
   Rng* rng_;
   size_t blocks_ = 0;
   size_t global_offset_ = 0;
-  /// Diagnostics counters. The finalize pair is overwritten (not
-  /// accumulated) per Finalize() call, and mutable because Finalize() is
-  /// const yet runs one more reduction.
+  /// ReduceOps() counters. finalize_ops_ is overwritten (not accumulated)
+  /// per Finalize() call, and mutable because Finalize() is const yet runs
+  /// one more reduction.
   size_t reduce_ops_ = 0;
-  size_t builder_rows_ = 0;
   mutable size_t finalize_ops_ = 0;
-  mutable size_t finalize_rows_ = 0;
   std::vector<std::optional<Coreset>> levels_;
 };
 

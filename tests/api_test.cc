@@ -363,28 +363,6 @@ TEST(SpecRoundTripTest, FastCoresetStagesFollowAlgorithmOne) {
                                       "sampling"}));
 }
 
-TEST(StreamingFacadeTest, BuildStreamingReportsComposition) {
-  const Matrix points = TestMixture(600);
-  api::CoresetSpec spec = SmallSpec("uniform", 17);
-  const api::FcStatusOr<api::BuildResult> result =
-      api::BuildStreaming(spec, points, /*block_size=*/100);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const api::BuildDiagnostics& diag = result->diagnostics;
-  EXPECT_EQ(diag.stream_blocks, 6u);
-  EXPECT_GT(diag.stream_reduce_ops, 0u);
-  // Merge-&-reduce reprocesses rows: accounting must exceed the input.
-  EXPECT_GT(diag.points_processed, 600u);
-  EXPECT_NEAR(result->coreset.TotalWeight(), 600.0, 300.0);
-
-  // Deterministic under the spec seed.
-  const api::BuildResult again =
-      api::BuildStreaming(spec, points, 100).value();
-  ExpectBitIdentical(result->coreset, again.coreset, "streaming rebuild");
-
-  EXPECT_EQ(api::BuildStreaming(spec, points, 0).status().code(),
-            api::FcErrorCode::kInvalidArgument);
-}
-
 TEST(StreamingFacadeTest, MakeBuilderRejectsInvalidSpecsUpfront) {
   api::CoresetSpec bad = SmallSpec("stream_km");
   bad.z = 1;

@@ -55,6 +55,12 @@ TEST(MergeReduceTest, LevelsFollowBinaryCounter) {
               static_cast<size_t>(__builtin_popcountll(pushed)));
   }
   EXPECT_EQ(compressor.BlocksConsumed(), 8u);
+  // Eight blocks carry into one level-3 coreset through 4 + 2 + 1 merges;
+  // each Finalize() counts its reduction as a snapshot, not a running sum.
+  EXPECT_EQ(compressor.ReduceOps(), 7u);
+  EXPECT_GT(compressor.Finalize().size(), 0u);
+  EXPECT_GT(compressor.Finalize().size(), 0u);
+  EXPECT_EQ(compressor.ReduceOps(), 8u);
 }
 
 TEST(MergeReduceTest, GlobalIndicesAreCorrect) {

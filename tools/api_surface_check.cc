@@ -45,7 +45,6 @@ int main() {
   StreamingCompressor compressor(builder.value(), 40, &rng);
   compressor.Push(points);
   if (compressor.Finalize().size() == 0) return 1;
-  if (!api::BuildStreaming(spec, points, 10).ok()) return 1;
 
   // The bring-your-own-solution tail.
   Clustering solution;

@@ -31,8 +31,8 @@ Rules (see RULES below for scope and details):
   umbrella-include         bench/examples reaching past src/api/fastcoreset.h
                            into per-method compression headers
   layering-violation       src/ include edges that leave the module DAG
-                           declared in tools/lint/layers.toml (--dot-out
-                           emits the actual graph as graphviz)
+                           of the src/<m>/CMakeLists.txt link lists
+                           (--dot-out emits the actual graph as graphviz)
   lock-order               fc::Mutex declarations whose rank is not a
                            lock_rank constant of src/common/mutex.h, and
                            lexical acquisition patterns that take a
@@ -43,20 +43,31 @@ Rules (see RULES below for scope and details):
 
 Project passes
 --------------
-The last three rules are cross-file. layering-violation checks includes
-against the module DAG in tools/lint/layers.toml and accumulates the
-observed include graph across the run (`--dot-out graph.dot` writes it;
-the run fails if the ACTUAL graph has a cycle, declared or not).
-lock-order has no config file: the lock_rank block of
-src/common/mutex.h (the constants the runtime rank checker enforces) is
-the one rank table, and each lock's rank is the constant its `Mutex`
-declaration is initialized with. Every declaration in the linted files
-is collected before any acquisition is checked, and an acquisition in
-foo.cc resolves against the declarations of foo.h and foo.cc. A function
-body starts out holding the locks its FC_REQUIRES names, whether the
-annotation sits on the definition or on its declaration in foo.h. Config
-errors (unparseable or cyclic layers.toml, duplicate or non-positive
-lock_rank values) are findings like any other.
+The last three rules are cross-file. None has a config file of its own:
+each reads its facts from the code they govern.
+
+layering-violation reads the module DAG from CMake: the fc_<x> items of
+`target_link_libraries(fc_<m> ...)` in src/<m>/CMakeLists.txt are the
+modules a src/<m>/ file may include directly (never what it reaches
+through their PUBLIC links; non-module items such as Threads::Threads
+are ignored), so adding a link is the architecture decision. The pass
+also accumulates the observed include graph across the run
+(`--dot-out graph.dot` writes it; the run fails if the ACTUAL graph has
+a cycle, declared or not).
+
+lock-order: the lock_rank block of src/common/mutex.h (the constants
+the runtime rank checker enforces) is the one rank table, and each
+lock's rank is the constant its `Mutex` declaration is initialized with.
+Every declaration in the linted files is collected before any
+acquisition is checked, and an acquisition in foo.cc resolves against
+the declarations of foo.h and foo.cc. A function body starts out
+holding the locks its FC_REQUIRES names, whether the annotation sits on
+the definition or on its declaration in foo.h.
+
+Config errors (a link list that is cyclic, names its own module or
+names a library that is not a module; duplicate or non-positive
+lock_rank values) are findings like any other, pointing at the CMake
+call or the constant.
 
 Fixes
 -----
@@ -77,8 +88,8 @@ Strictness
 Every finding fails the run. There is no baseline of grandfathered
 findings: new findings are fixed or suppressed with a rationale.
 
-Typical invocations (from the repo root; Python 3.11+, for the stdlib
-tomllib that reads layers.toml):
+Typical invocations (from the repo root; Python 3.7+, standard library
+only):
 
     python3 tools/lint/fc_lint.py src tools bench examples
     python3 tools/lint/fc_lint.py --selftest
@@ -93,7 +104,6 @@ import json
 import os
 import re
 import sys
-import tomllib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -819,71 +829,58 @@ def rule_umbrella_include(path: str,
 
 @dataclass
 class LayerConfig:
-    display: str  # path shown in findings
+    """The module DAG: each module's allowed direct deps, as its
+    `target_link_libraries(fc_<m> ...)` call in CMake lists them."""
     modules: Dict[str, List[str]] = field(default_factory=dict)
-    lines: Dict[str, int] = field(default_factory=dict)
+    # module -> (CMake file, line) of its link call.
+    where: Dict[str, Tuple[str, int]] = field(default_factory=dict)
     findings: List[Finding] = field(default_factory=list)
 
 
-# A `[modules.X]` table header; findings about X point at its line.
-_MODULE_HEADER_RE = re.compile(r"^[ \t]*\[\s*modules\.([\w-]+)\s*\]", re.M)
+# A module library's link call; its fc_<x> items are the modules src/<m>
+# may include directly. Other items (Threads::Threads, PUBLIC) are not
+# modules.
+_LINK_CALL_RE = re.compile(
+    r"\b(?i:target_link_libraries)\s*\(\s*fc_(\w+)([^)]*)\)")
 
 
-def load_layer_config(path: str, display: str) -> LayerConfig:
-    cfg = LayerConfig(display)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-        data = tomllib.loads(text)
-    except OSError as e:
-        cfg.findings.append(Finding(display, 1, "layering-violation",
-                                    f"cannot read layers config: {e}"))
-        return cfg
-    except tomllib.TOMLDecodeError as e:
-        m = re.search(r"line (\d+)", str(e))
-        cfg.findings.append(Finding(display, int(m.group(1)) if m else 1,
-                                    "layering-violation",
-                                    f"layers config parse error: {e}"))
-        return cfg
-    modules = data.get("modules")
-    if not isinstance(modules, dict) or not modules:
-        cfg.findings.append(Finding(
-            display, 1, "layering-violation",
-            "layers config declares no [modules.<name>] tables"))
-        return cfg
-    header_lines = {m.group(1): text.count("\n", 0, m.start()) + 1
-                    for m in _MODULE_HEADER_RE.finditer(text)}
-    for name, tbl in modules.items():
-        line = header_lines.get(name, 1)
-        if not isinstance(tbl, dict):
-            cfg.findings.append(Finding(
-                display, line, "layering-violation",
-                f"[modules.{name}] is not a table"))
-            continue
-        deps = tbl.get("deps")
-        if not isinstance(deps, list) or \
-                not all(isinstance(d, str) for d in deps):
-            cfg.findings.append(Finding(
-                display, line, "layering-violation",
-                f"[modules.{name}] needs `deps = [\"...\"]`"))
-            deps = []
-        cfg.modules[name] = list(deps)
-        cfg.lines[name] = line
+def module_cmake_files(root: str) -> List[str]:
+    """src/<m>/CMakeLists.txt of every module directory under `root`."""
+    src = os.path.join(root, "src")
+    names = sorted(os.listdir(src)) if os.path.isdir(src) else []
+    return [f"src/{m}/CMakeLists.txt" for m in names
+            if os.path.isfile(os.path.join(src, m, "CMakeLists.txt"))]
+
+
+def load_module_links(files: Sequence[Tuple[str, str]]) -> LayerConfig:
+    """Reads the module DAG from CMake (path, text) pairs."""
+    cfg = LayerConfig()
+    for path, text in files:
+        code = re.sub(r"#[^\n]*", "", text)
+        for m in _LINK_CALL_RE.finditer(code):
+            cfg.modules.setdefault(m.group(1), []).extend(
+                item[3:] for item in m.group(2).split()
+                if item.startswith("fc_"))
+            cfg.where.setdefault(
+                m.group(1), (path, code.count("\n", 0, m.start()) + 1))
     for name in sorted(cfg.modules):
+        path, line = cfg.where[name]
         for dep in cfg.modules[name]:
             if dep == name:
                 cfg.findings.append(Finding(
-                    display, cfg.lines[name], "layering-violation",
-                    f"[modules.{name}] lists itself as a dep"))
+                    path, line, "layering-violation",
+                    f"fc_{name} links itself"))
             elif dep not in cfg.modules:
                 cfg.findings.append(Finding(
-                    display, cfg.lines[name], "layering-violation",
-                    f"[modules.{name}] dep '{dep}' is not a declared module"))
+                    path, line, "layering-violation",
+                    f"fc_{name} links fc_{dep}, which is not a module "
+                    f"(no target_link_libraries(fc_{dep} ...) call)"))
     # The declared graph must itself be a DAG: a cycle here would make
     # "upward edge" meaningless.
     for cycle in _find_cycles(cfg.modules):
+        path, line = cfg.where[cycle[0]]
         cfg.findings.append(Finding(
-            display, cfg.lines.get(cycle[0], 1), "layering-violation",
+            path, line, "layering-violation",
             "declared module graph has a cycle: " + " -> ".join(cycle)))
     return cfg
 
@@ -998,9 +995,9 @@ def load_lock_ranks(path: str) -> LockRanks:
 
 @dataclass
 class ProjectContext:
-    """Cross-file state threaded through a lint run: the layers config,
-    the lock ranks, and the observed module include graph (for --dot-out
-    and cycle checks)."""
+    """Cross-file state threaded through a lint run: the module DAG, the
+    lock ranks, and the observed module include graph (for --dot-out and
+    cycle checks)."""
     layers: LayerConfig
     locks: LockRanks
     # (from_module, to_module) -> (example file, line)
@@ -1011,12 +1008,6 @@ class ProjectContext:
         return list(self.layers.findings) + list(self.locks.findings)
 
 
-def make_context(layers_path: str, ranks_path: str,
-                 layers_display: str) -> ProjectContext:
-    return ProjectContext(load_layer_config(layers_path, layers_display),
-                          load_lock_ranks(ranks_path))
-
-
 def _module_of(path: str) -> Optional[str]:
     parts = path.split("/")
     if len(parts) >= 3 and parts[0] == "src":
@@ -1024,20 +1015,19 @@ def _module_of(path: str) -> Optional[str]:
     return None
 
 
-def record_module_edges(path: str, includes: List[Tuple[int, str, bool]],
-                        ctx: "ProjectContext") -> None:
+def module_includes(path: str, includes: List[Tuple[int, str, bool]]
+                    ) -> List[Tuple[int, str]]:
+    """(line, target module) of each include in a src/<m>/ file of a
+    header in another module's src/<target>/."""
     mod = _module_of(path)
     if mod is None:
-        return
+        return []
+    out: List[Tuple[int, str]] = []
     for line, inc, angled in includes:
-        if angled or not inc.startswith("src/"):
-            continue
-        parts = inc.split("/")
-        if len(parts) < 3:
-            continue
-        target = parts[1]
-        if target != mod and (mod, target) not in ctx.module_edges:
-            ctx.module_edges[(mod, target)] = (path, line)
+        target = None if angled else _module_of(inc)
+        if target is not None and target != mod:
+            out.append((line, target))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -1045,43 +1035,35 @@ def record_module_edges(path: str, includes: List[Tuple[int, str, bool]],
 # --------------------------------------------------------------------------
 
 
-def rule_layering_violation(path: str,
-                            includes: List[Tuple[int, str, bool]],
+def rule_layering_violation(path: str, edges: List[Tuple[int, str]],
                             ctx: "ProjectContext") -> List[Finding]:
-    findings: List[Finding] = []
     mod = _module_of(path)
     declared = ctx.layers.modules
-    if mod is None or not declared:
-        return findings
+    if mod is None:
+        return []
     if mod not in declared:
-        findings.append(Finding(
+        return [Finding(
             path, 1, "layering-violation",
-            f"module 'src/{mod}' is not declared in {ctx.layers.display}; "
-            f"add a [modules.{mod}] table with its allowed deps"))
-        return findings
+            f"module 'src/{mod}' declares no deps; add "
+            f"`target_link_libraries(fc_{mod} PUBLIC ...)` to "
+            f"src/{mod}/CMakeLists.txt naming the modules it may include")]
     allowed = declared[mod]
-    for line, inc, angled in includes:
-        if angled or not inc.startswith("src/"):
-            continue
-        parts = inc.split("/")
-        if len(parts) < 3:
-            continue
-        target = parts[1]
-        if target == mod:
-            continue
+    findings: List[Finding] = []
+    for line, target in edges:
         if target not in declared:
             findings.append(Finding(
                 path, line, "layering-violation",
                 f"include of 'src/{target}/...' but '{target}' is not a "
-                f"declared module in {ctx.layers.display}"))
+                f"module (no target_link_libraries(fc_{target} ...) call)"))
         elif target not in allowed:
             findings.append(Finding(
                 path, line, "layering-violation",
                 f"layering violation: src/{mod} may not include "
-                f"src/{target} (declared deps of '{mod}': "
-                f"{', '.join(allowed) if allowed else 'none'}; adding the "
-                f"edge is an architecture decision — see "
-                f"{ctx.layers.display})"))
+                f"src/{target} (fc_{mod} links "
+                f"{', '.join('fc_' + d for d in allowed) or 'no module'} "
+                f"directly; adding fc_{target} to its target_link_libraries "
+                f"in {ctx.layers.where[mod][0]} is an architecture "
+                f"decision)"))
     return findings
 
 
@@ -1095,8 +1077,9 @@ def write_module_dot(dot_path: str, ctx: "ProjectContext") -> List[List[str]]:
     lines = [
         "// Actual src/ module include graph, emitted by fc_lint.py "
         "--dot-out.",
-        "// Red edges violate tools/lint/layers.toml; the CI deps-graph "
-        "step renders and uploads this.",
+        "// Red edges are not in the including module's "
+        "target_link_libraries (src/<m>/CMakeLists.txt);",
+        "// the CI deps-graph step renders and uploads this.",
         "digraph fc_modules {",
         "  rankdir = \"BT\";",
         "  node [shape=box, fontname=\"Helvetica\"];",
@@ -1105,8 +1088,7 @@ def write_module_dot(dot_path: str, ctx: "ProjectContext") -> List[List[str]]:
         lines.append(f"  \"{n}\";")
     for a, b in edges:
         src_file, src_line = ctx.module_edges[(a, b)]
-        ok = a in declared and b in declared.get(a, [])
-        attrs = "" if ok or not declared else \
+        attrs = "" if b in declared.get(a, []) else \
             f" [color=red, penwidth=2, label=\"{src_file}:{src_line}\"]"
         lines.append(f"  \"{a}\" -> \"{b}\"{attrs};")
     lines.append("}")
@@ -1748,8 +1730,9 @@ RULES: Dict[str, Dict[str, object]] = {
     },
     "layering-violation": {
         "scope": _scope_layering,
-        "doc": "src/<mod> including a module outside its declared deps in "
-               "tools/lint/layers.toml (upward or undeclared edge).",
+        "doc": "src/<mod> including a module that fc_<mod> does not link "
+               "directly in src/<mod>/CMakeLists.txt (upward or undeclared "
+               "edge).",
     },
     "lock-order": {
         "scope": _scope_lock_order,
@@ -1820,7 +1803,10 @@ def lint_file(rel_path: str, lex: LexResult, active_rules: Set[str],
 
     # Edge recording feeds --dot-out and is independent of which rules
     # are active — the graph artifact shows the whole tree.
-    record_module_edges(rel_path, includes, ctx)
+    edges = module_includes(rel_path, includes)
+    for line, target in edges:
+        ctx.module_edges.setdefault((_module_of(rel_path), target),
+                                    (rel_path, line))
 
     findings: List[Finding] = list(sup.findings)
     rule_runners = {
@@ -1835,7 +1821,7 @@ def lint_file(rel_path: str, lex: LexResult, active_rules: Set[str],
             lambda: rule_banned_entropy(rel_path, tokens, includes),
         "umbrella-include": lambda: rule_umbrella_include(rel_path, includes),
         "layering-violation":
-            lambda: rule_layering_violation(rel_path, includes, ctx),
+            lambda: rule_layering_violation(rel_path, edges, ctx),
         "lock-order": lambda: rule_lock_order(rel_path, tokens, ctx),
         "determinism-taint":
             lambda: rule_determinism_taint(rel_path, tokens),
@@ -1896,6 +1882,8 @@ def run_selftest() -> int:
     with open(manifest_path, "r", encoding="utf-8") as f:
         manifest = json.load(f)
 
+    repo = os.path.join(here, "..", "..")
+    repo_cmake = read_sources(repo, module_cmake_files(repo))
     failures = 0
     fired_rules: Dict[str, int] = {}
     clean_rules: Dict[str, int] = {}
@@ -1906,17 +1894,17 @@ def run_selftest() -> int:
             with open(os.path.join(fixture_dir, member["file"]), "r",
                       encoding="utf-8") as f:
                 sources.append((member["path"], f.read()))
-        # Cases default to the repo's real layers.toml and mutex.h (so
-        # fixtures double as a check on those files); a case may swap in a
-        # fixture-local one to exercise config-error paths.
-        layers_file = case.get("layers")
+        # Cases default to the repo's real module CMakeLists.txt files and
+        # mutex.h (so fixtures double as a check on those files); a case
+        # may swap in a fixture-local one to exercise config-error paths.
+        cmake_file = case.get("cmake")
         ranks_file = case.get("ranks")
-        ctx = make_context(
-            os.path.join(fixture_dir, layers_file) if layers_file
-            else os.path.join(here, "layers.toml"),
-            os.path.join(fixture_dir, ranks_file) if ranks_file
-            else os.path.join(here, "..", "..", RANKS_HEADER),
-            layers_file or "tools/lint/layers.toml")
+        ctx = ProjectContext(
+            load_module_links(read_sources(fixture_dir, [cmake_file])
+                              if cmake_file else repo_cmake),
+            load_lock_ranks(os.path.join(fixture_dir, ranks_file)
+                            if ranks_file
+                            else os.path.join(repo, RANKS_HEADER)))
         got = lint_sources(sources, KNOWN_RULES, ctx)
         got_set = sorted((f.path, f.rule, f.line) for f in got)
         want_set = sorted((e.get("path", virtual), e["rule"], e["line"])
@@ -1998,9 +1986,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "this script)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rule ids to run")
-    parser.add_argument("--layers", default=None,
-                        help="module DAG config (default: layers.toml next "
-                             "to this script)")
     parser.add_argument("--dot-out", default=None,
                         help="write the observed module include graph as "
                              "graphviz; exits 1 if the actual graph has a "
@@ -2056,15 +2041,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{len(files)} file(s)")
         return 0
 
-    here = os.path.dirname(os.path.abspath(__file__))
-    layers_path = os.path.abspath(args.layers) if args.layers else \
-        os.path.join(here, "layers.toml")
-    layers_display = os.path.relpath(layers_path, root).replace(os.sep, "/")
-    if layers_display.startswith(".."):
-        layers_display = layers_path.replace(os.sep, "/")
-
-    ctx = make_context(layers_path, os.path.join(root, RANKS_HEADER),
-                       layers_display)
+    ctx = ProjectContext(
+        load_module_links(read_sources(root, module_cmake_files(root))),
+        load_lock_ranks(os.path.join(root, RANKS_HEADER)))
     findings = lint_sources(sources, active_rules, ctx)
 
     cycles: List[List[str]] = []

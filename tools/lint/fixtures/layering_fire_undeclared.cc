@@ -1,6 +1,6 @@
-// Fixture: layering-violation MUST fire — geometry sits below core
-// (an upward include inverts the DAG), and 'experimental' is not a
-// module layers.toml knows about at all.
+// Fixture: layering-violation MUST fire — geometry sits below core (an
+// upward include inverts the DAG), and 'experimental' is not a module:
+// no CMakeLists.txt calls target_link_libraries(fc_experimental ...).
 // Linted as src/geometry/layering_fire_undeclared.cc.
 #include "src/common/check.h"
 #include "src/core/coreset.h"
