@@ -615,6 +615,76 @@ TEST(GoldenFingerprintTest, SeedersMatchPinnedFingerprints) {
   });
 }
 
+// The k-means++ constants below were captured from the seeder that
+// recomputed every point's distance to every new center, before the
+// triangle-inequality skip. The skip must leave every stored distance,
+// assignment and draw unchanged, so none of them may move.
+Matrix Scaled(Matrix points, double scale) {
+  for (double& x : points.data()) x *= scale;
+  return points;
+}
+
+TEST(GoldenFingerprintTest, KMeansPlusPlusMatchesPinnedFingerprints) {
+  const Matrix points = TestPoints(6, 310);
+  // Every row appears five times, the copies 1200 rows apart.
+  std::vector<size_t> rows(kRows);
+  for (size_t i = 0; i < kRows; ++i) rows[i] = i % 1200;
+  const Matrix duplicated = points.SelectRows(rows);
+  // Squared distances within a mixture component stay finite; those
+  // across components overflow to inf.
+  const Matrix huge = Scaled(points, 1e153);
+  // Every squared distance is subnormal.
+  const Matrix tiny = Scaled(points, 1e-160);
+  Rng weight_rng(311);
+  std::vector<double> weights(kRows);
+  for (double& w : weights) w = weight_rng.NextDouble() + 0.1;
+
+  const auto seeding = [](const Matrix& data, size_t k, int z,
+                          const std::vector<double>& point_weights = {}) {
+    Rng rng(312);
+    const Clustering clustering =
+        KMeansPlusPlus(data, point_weights, k, z, rng);
+    return FingerprintClustering(clustering, rng);
+  };
+  ExpectGolden({
+      {"kmpp_z2", 0xb506c9244ed74935ull,
+       [&] { return seeding(points, 100, 2); }},
+      {"kmpp_z1", 0x97cd6402956cb879ull,
+       [&] { return seeding(points, 100, 1); }},
+      {"kmpp_weighted", 0xe45931c43c77faf5ull,
+       [&] { return seeding(points, 100, 2, weights); }},
+      {"kmpp_weighted_z1", 0x5c29b69ae2e8722aull,
+       [&] { return seeding(points, 100, 1, weights); }},
+      {"kmpp_k_exceeds_distinct", 0xee01368b06d6b311ull,
+       [&] { return seeding(duplicated, 1500, 2); }},
+      {"kmpp_overflow_scale", 0xad0b4bc2627a74f7ull,
+       [&] { return seeding(huge, 100, 2); }},
+      {"kmpp_underflow_scale", 0x4e8e8777fdd9dd84ull,
+       [&] { return seeding(tiny, 100, 2); }},
+  });
+}
+
+TEST(GoldenFingerprintTest, KMeansPlusPlusSeededBuildsMatchPinnedFingerprints) {
+  const Matrix points = TestPoints(16, 300);
+  const auto build = [&](const char* method) {
+    api::CoresetSpec spec;
+    spec.method = method;
+    spec.k = 60;
+    spec.m = 400;
+    spec.seed = 314;
+    return BuildFingerprint(spec, points);
+  };
+  ExpectGolden({
+      {"sensitivity", 0xee50fb41546b866full,
+       [&] { return build("sensitivity"); }},
+      {"welterweight", 0x8d18260fcca34b5eull,
+       [&] { return build("welterweight"); }},
+      {"group_sampling", 0xf36ad50b0d167d92ull,
+       [&] { return build("group_sampling"); }},
+      {"stream_km", 0x0c6c09bf96172bf7ull, [&] { return build("stream_km"); }},
+  });
+}
+
 // Canonical tree structure, independent of node ids: a preorder walk
 // (children in order) hashing each node's level, child count and leaf
 // points.
