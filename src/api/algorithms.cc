@@ -36,6 +36,10 @@ void RecordStage(BuildDiagnostics* diag, const char* name, double seconds) {
   if (diag != nullptr) diag->stages.push_back({name, seconds});
 }
 
+WorkCounters* WorkOf(BuildDiagnostics* diag) {
+  return diag == nullptr ? nullptr : &diag->work;
+}
+
 Coreset BuildUniform(const CoresetSpec&, const Matrix& points,
                      const std::vector<double>& weights, size_t m, Rng& rng,
                      BuildDiagnostics* diag) {
@@ -61,8 +65,8 @@ Coreset BuildWelterweight(const CoresetSpec& spec, const Matrix& points,
   const size_t j = Resolved<WelterweightOptions>(spec, m).j;
   if (diag != nullptr) diag->j_effective = j;
   Timer timer;
-  Coreset coreset =
-      WelterweightCoreset(points, weights, spec.k, j, m, spec.z, rng);
+  Coreset coreset = WelterweightCoreset(points, weights, spec.k, j, m, spec.z,
+                                        rng, WorkOf(diag));
   RecordStage(diag, "seed_and_sample", timer.Seconds());
   return coreset;
 }
@@ -72,8 +76,8 @@ Coreset BuildSensitivity(const CoresetSpec& spec, const Matrix& points,
                          Rng& rng, BuildDiagnostics* diag) {
   if (diag != nullptr) diag->j_effective = spec.k;  // Full k-center seed.
   Timer timer;
-  Coreset coreset =
-      SensitivitySamplingCoreset(points, weights, spec.k, m, spec.z, rng);
+  Coreset coreset = SensitivitySamplingCoreset(points, weights, spec.k, m,
+                                               spec.z, rng, WorkOf(diag));
   RecordStage(diag, "seed_and_sample", timer.Seconds());
   return coreset;
 }
@@ -94,7 +98,7 @@ Coreset BuildGroupSampling(const CoresetSpec& spec, const Matrix& points,
   Timer timer;
   Coreset coreset =
       GroupSamplingCoreset(points, weights, spec.k, m, spec.z,
-                           Resolved<GroupOptions>(spec, m), rng);
+                           Resolved<GroupOptions>(spec, m), rng, WorkOf(diag));
   RecordStage(diag, "seed_and_sample", timer.Seconds());
   return coreset;
 }
@@ -116,7 +120,7 @@ Coreset BuildStreamKm(const CoresetSpec&, const Matrix& points,
                       const std::vector<double>& weights, size_t m, Rng& rng,
                       BuildDiagnostics* diag) {
   Timer timer;
-  Coreset coreset = StreamKmReduce(points, weights, m, rng);
+  Coreset coreset = StreamKmReduce(points, weights, m, rng, WorkOf(diag));
   RecordStage(diag, "reduce", timer.Seconds());
   return coreset;
 }

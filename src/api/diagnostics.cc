@@ -46,6 +46,10 @@ std::string BuildDiagnostics::ToString() const {
                FormatDouble(stage.seconds));
   }
   AppendLine(&out, "total_seconds", FormatDouble(total_seconds));
+  if (work.kmeanspp_distance_evals > 0) {
+    AppendLine(&out, "work.kmeanspp_distance_evals",
+               std::to_string(work.kmeanspp_distance_evals));
+  }
   return out;
 }
 

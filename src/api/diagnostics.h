@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/timer.h"
+#include "src/common/work_counters.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
@@ -49,6 +50,10 @@ struct BuildDiagnostics {
 
   std::vector<StageTime> stages;  ///< Wall-clock per pipeline stage.
   double total_seconds = 0.0;     ///< Wall-clock of the whole build.
+  /// Operation counts; the same at any FC_THREADS. Filled by the methods
+  /// that count: k-means++ distance evaluations by sensitivity,
+  /// welterweight, group_sampling and stream_km.
+  WorkCounters work;
 
   /// Multi-line human-readable report (stable key=value lines).
   std::string ToString() const;

@@ -10,9 +10,46 @@
 
 namespace fastcoreset {
 
+namespace {
+
+// The triangle-inequality skip. Let x be a point, a its center and c the
+// new center, with D = ‖x−a‖², C = ‖c−a‖² and E = ‖x−c‖² exact. If
+// C ≥ 4D then √E ≥ √C − √D ≥ √D: c cannot bring x closer. The round
+// updates x iff the computed Ê = SquaredL2(x, c) is below x's stored
+// D̂ = min_sq, so the skip has to prove Ê ≥ D̂ for the computed values:
+//   - SquaredL2 adds d rounded squares of rounded differences, all ≥ 0,
+//     so in any summation order its relative error is at most
+//     γ = (d+2)u / (1 − (d+2)u), u = 2⁻⁵³; γ < 1.2e-8 for d < kMaxSkipDims.
+//     Skipping when Ĉ ≥ 4(1+1e-6)·D̂ (the product rounded) then gives
+//     C ≥ 4s²·D with s > 1 + 4.8e-7, so E ≥ (2s−1)²·D and
+//     Ê ≥ (1−γ)(2s−1)²·D > (1+γ)·D ≥ D̂.
+//   - The bound is relative, so subnormal squares break it. With
+//     D̂ ≥ kMinSkipSq, the absolute error they can add (d·2⁻¹⁰⁷⁵ per sum)
+//     is below 1e-35 of D̂, and Ĉ and Ê are larger still. D̂ == 0 needs
+//     no bound: no Ê is below 0.
+//   - An infinite Ĉ is never trusted: D̂ may have overflowed too, and
+//     then only the full comparison can tell. A finite Ĉ or D̂ saw no
+//     overflow, and an Ê that overflows is ≥ D̂ anyway.
+//   - NaN fails every comparison, so a NaN distance is never skipped.
+// The test reads only the point's own state and this round's center
+// gaps, so it cannot depend on the chunk plan or the thread count.
+constexpr size_t kMaxSkipDims = 100'000'000;
+constexpr double kMinSkipSq = 1e-280;
+constexpr double kSkipFactor = 4.0 * (1.0 + 1e-6);
+
+/// True when a center at squared distance `center_gap_sq` from the
+/// point's current center cannot improve its `min_sq`.
+bool NewCenterCannotImprove(double center_gap_sq, double min_sq) {
+  return std::isfinite(center_gap_sq) &&
+         (min_sq == 0.0 || min_sq >= kMinSkipSq) &&
+         center_gap_sq >= kSkipFactor * min_sq;
+}
+
+}  // namespace
+
 Clustering KMeansPlusPlus(const Matrix& points,
                           const std::vector<double>& weights, size_t k,
-                          int z, Rng& rng) {
+                          int z, Rng& rng, WorkCounters* work) {
   const size_t n = points.rows();
   FC_CHECK_GT(n, 0u);
   FC_CHECK_GT(k, 0u);
@@ -67,8 +104,16 @@ Clustering KMeansPlusPlus(const Matrix& points,
   // The parallel distance pass records improved slots per chunk; the
   // Fenwick updates are then applied on this thread in chunk order, so
   // the tree state (and every draw) is bit-identical at any thread count.
-  std::vector<std::vector<std::pair<size_t, double>>> improved(
-      ParallelChunkCount(n));
+  const size_t chunks = ParallelChunkCount(n);
+  std::vector<std::vector<std::pair<size_t, double>>> improved(chunks);
+  // Distance evaluations: the serial ones here, the point passes' per
+  // chunk, summed once at the end.
+  uint64_t distance_evals = n;  // The first center's pass.
+  std::vector<uint64_t> chunk_evals(chunks, 0);
+  // center_gap_sq[j] = squared distance from this round's center to
+  // center j < c, the C of the skip test.
+  std::vector<double> center_gap_sq(k, 0.0);
+  const bool may_skip = points.cols() < kMaxSkipDims;
 
   for (size_t c = 1; c < k; ++c) {
     const double total = masses.Total();
@@ -113,10 +158,21 @@ Clustering KMeansPlusPlus(const Matrix& points,
     chosen[next] = 1;
     result.centers.CopyRowFrom(points, next, c);
     const auto center = result.centers.Row(c);
+    for (size_t j = 0; j < c; ++j) {
+      center_gap_sq[j] = SquaredL2(center, result.centers.Row(j));
+    }
+    distance_evals += c;
     ParallelForChunks(n, [&](size_t chunk, size_t begin, size_t end) {
       auto& batch = improved[chunk];
       batch.clear();
+      uint64_t computed = 0;
       for (size_t i = begin; i < end; ++i) {
+        if (may_skip && NewCenterCannotImprove(
+                            center_gap_sq[result.assignment[i]], min_sq[i])) {
+          FC_DCHECK(!(SquaredL2(points.Row(i), center) < min_sq[i]));
+          continue;
+        }
+        ++computed;
         const double sq = SquaredL2(points.Row(i), center);
         if (sq < min_sq[i]) {
           min_sq[i] = sq;
@@ -125,6 +181,7 @@ Clustering KMeansPlusPlus(const Matrix& points,
           batch.emplace_back(i, WeightAt(weights, i) * d);
         }
       }
+      chunk_evals[chunk] += computed;
     });
     for (const auto& batch : improved) {
       for (const auto& [i, mass] : batch) masses.Set(i, mass);
@@ -140,6 +197,10 @@ Clustering KMeansPlusPlus(const Matrix& points,
     }
     return partial;
   });
+  if (work != nullptr) {
+    for (uint64_t count : chunk_evals) distance_evals += count;
+    work->kmeanspp_distance_evals += distance_evals;
+  }
   return result;
 }
 

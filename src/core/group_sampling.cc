@@ -67,8 +67,9 @@ int RingIndex(double j) {
 Coreset GroupSamplingCoreset(const Matrix& points,
                              const std::vector<double>& weights, size_t k,
                              size_t m, int z,
-                             const GroupSamplingOptions& options, Rng& rng) {
-  const Clustering solution = KMeansPlusPlus(points, weights, k, z, rng);
+                             const GroupSamplingOptions& options, Rng& rng,
+                             WorkCounters* work) {
+  const Clustering solution = KMeansPlusPlus(points, weights, k, z, rng, work);
   return GroupSamplingFromSolution(points, weights, solution, m, z, options,
                                    rng);
 }

@@ -29,6 +29,7 @@
 #define FASTCORESET_CORE_GROUP_SAMPLING_H_
 
 #include "src/clustering/types.h"
+#include "src/common/work_counters.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
@@ -45,11 +46,13 @@ struct GroupSamplingOptions {
 /// Builds a group-sampling coreset with a total budget of `m >= 1` rows,
 /// using a fresh k-means++ candidate solution of `k` clusters under cost
 /// exponent `z`. Close points surface as synthetic center representatives
-/// (indices = Coreset::kSyntheticIndex).
+/// (indices = Coreset::kSyntheticIndex). The seeding's work is added to
+/// `work` when non-null.
 Coreset GroupSamplingCoreset(const Matrix& points,
                              const std::vector<double>& weights, size_t k,
                              size_t m, int z,
-                             const GroupSamplingOptions& options, Rng& rng);
+                             const GroupSamplingOptions& options, Rng& rng,
+                             WorkCounters* work = nullptr);
 
 /// Variant reusing a precomputed solution with assignments.
 Coreset GroupSamplingFromSolution(const Matrix& points,

@@ -7,8 +7,9 @@ namespace fastcoreset {
 
 Coreset SensitivitySamplingCoreset(const Matrix& points,
                                    const std::vector<double>& weights,
-                                   size_t k, size_t m, int z, Rng& rng) {
-  const Clustering solution = KMeansPlusPlus(points, weights, k, z, rng);
+                                   size_t k, size_t m, int z, Rng& rng,
+                                   WorkCounters* work) {
+  const Clustering solution = KMeansPlusPlus(points, weights, k, z, rng, work);
   return SensitivitySamplingFromSolution(points, weights, solution, m, rng);
 }
 

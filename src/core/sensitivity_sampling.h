@@ -8,15 +8,18 @@
 #define FASTCORESET_CORE_SENSITIVITY_SAMPLING_H_
 
 #include "src/clustering/types.h"
+#include "src/common/work_counters.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
 
 /// Sensitivity-sampling coreset of size m supporting k clusters under
-/// exponent z. Runs k-means++/k-median++ internally (O(nkd)).
+/// exponent z. Runs k-means++/k-median++ internally (O(nkd)) and adds its
+/// work to `work` when non-null.
 Coreset SensitivitySamplingCoreset(const Matrix& points,
                                    const std::vector<double>& weights,
-                                   size_t k, size_t m, int z, Rng& rng);
+                                   size_t k, size_t m, int z, Rng& rng,
+                                   WorkCounters* work = nullptr);
 
 /// Variant that reuses a precomputed candidate solution (any clustering
 /// with assignments); this is the common tail of all j-center samplers.

@@ -14,9 +14,10 @@ size_t DefaultWelterweightJ(size_t k) {
 
 Coreset WelterweightCoreset(const Matrix& points,
                             const std::vector<double>& weights, size_t k,
-                            size_t j, size_t m, int z, Rng& rng) {
+                            size_t j, size_t m, int z, Rng& rng,
+                            WorkCounters* work) {
   if (j == 0) j = DefaultWelterweightJ(k);
-  const Clustering solution = KMeansPlusPlus(points, weights, j, z, rng);
+  const Clustering solution = KMeansPlusPlus(points, weights, j, z, rng, work);
   return SensitivitySamplingFromSolution(points, weights, solution, m, rng);
 }
 

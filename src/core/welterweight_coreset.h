@@ -8,16 +8,18 @@
 #ifndef FASTCORESET_CORE_WELTERWEIGHT_CORESET_H_
 #define FASTCORESET_CORE_WELTERWEIGHT_CORESET_H_
 
+#include "src/common/work_counters.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
 
 /// Welterweight coreset of size m using a j-means++ candidate solution.
 /// `j` = 0 picks the paper's default j = ceil(log2 k). `k` is only used
-/// for that default.
+/// for that default. The seeding's work is added to `work` when non-null.
 Coreset WelterweightCoreset(const Matrix& points,
                             const std::vector<double>& weights, size_t k,
-                            size_t j, size_t m, int z, Rng& rng);
+                            size_t j, size_t m, int z, Rng& rng,
+                            WorkCounters* work = nullptr);
 
 /// The paper's default candidate-solution size: ceil(log2 k), at least 1.
 size_t DefaultWelterweightJ(size_t k);

@@ -16,9 +16,11 @@
 //     assignment passes (src/clustering/cost.cc) and k-means||'s candidate
 //     reclustering (src/clustering/kmeans_parallel.cc) call it, directly
 //     or through AssignToNearest. KMeansPlusPlus, the O(nkd) seeding
-//     behind sensitivity, welterweight and stream_km, does not: it
-//     updates each point's distance to every new center with the scalar
-//     SquaredL2.
+//     behind sensitivity, welterweight, group_sampling and stream_km,
+//     does not: it takes the scalar SquaredL2 from each new center to
+//     the earlier centers, then to each point that a triangle-inequality
+//     test on those center gaps cannot rule out (most points, on
+//     clustered data, are ruled out without reading their row).
 //
 // The batched kernel is deterministic: a point's result depends only on
 // the point and the centers, never on block or chunk boundaries, so

@@ -6,7 +6,7 @@ namespace fastcoreset {
 
 Coreset StreamKmReduce(const Matrix& points,
                        const std::vector<double>& weights, size_t m,
-                       Rng& rng) {
+                       Rng& rng, WorkCounters* work) {
   const size_t n = points.rows();
   FC_CHECK_GT(n, 0u);
   FC_CHECK_GT(m, 0u);
@@ -23,7 +23,8 @@ Coreset StreamKmReduce(const Matrix& points,
 
   // D^2-sample m representatives; each input point hands its weight to
   // its nearest representative.
-  const Clustering seeding = KMeansPlusPlus(points, weights, m, /*z=*/2, rng);
+  const Clustering seeding =
+      KMeansPlusPlus(points, weights, m, /*z=*/2, rng, work);
   const size_t actual = seeding.centers.rows();
   std::vector<double> rep_weight(actual, 0.0);
   for (size_t i = 0; i < n; ++i) {

@@ -14,15 +14,18 @@
 #ifndef FASTCORESET_STREAMING_STREAMKM_H_
 #define FASTCORESET_STREAMING_STREAMKM_H_
 
+#include "src/common/work_counters.h"
 #include "src/core/coreset.h"
 
 namespace fastcoreset {
 
 /// StreamKM++ reduce step: m representatives via D^2 (k-means++) seeding,
-/// weighted by assigned input weight. Returns indices into `points`.
+/// weighted by assigned input weight. The representatives are input rows,
+/// but their indices are Coreset::kSyntheticIndex. The seeding's work is
+/// added to `work` when non-null.
 Coreset StreamKmReduce(const Matrix& points,
                        const std::vector<double>& weights, size_t m,
-                       Rng& rng);
+                       Rng& rng, WorkCounters* work = nullptr);
 
 }  // namespace fastcoreset
 

@@ -152,6 +152,35 @@ TEST(DeterminismTest, KMeansPlusPlusBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(DeterminismTest, KMeansPlusPlusWorkCountIdenticalAcrossThreadCounts) {
+  // The k-means++ distance count is summed per chunk, so it is a
+  // function of the input alone. On a well-separated mixture the
+  // triangle-inequality skip rules out most of the n·(k−1) point
+  // distances of the rounds; every golden would still pass with the skip
+  // off, so this bound is what notices.
+  const Matrix points = TestPoints(8, 121);
+  const size_t k = 100;
+  const auto evals = [&](const char* method, size_t threads) {
+    ThreadCountGuard guard(threads);
+    api::CoresetSpec spec;
+    spec.method = method;
+    spec.k = k;
+    spec.m = 400;
+    spec.seed = 122;
+    const auto result = api::Build(spec, points);
+    EXPECT_TRUE(result.ok()) << result.status().message();
+    return result.ok() ? result->diagnostics.work.kmeanspp_distance_evals : 0;
+  };
+  for (const char* method :
+       {"sensitivity", "welterweight", "group_sampling", "stream_km"}) {
+    const uint64_t serial = evals(method, 1);
+    EXPECT_GT(serial, 0u) << method;
+    EXPECT_EQ(serial, evals(method, 4)) << method;
+  }
+  EXPECT_LE(evals("sensitivity", 4), kRows * (k - 1) / 4);
+  EXPECT_EQ(evals("fast_coreset", 4), 0u);  // Seeds without k-means++.
+}
+
 TEST(DeterminismTest, SensitivitySamplingBitIdenticalAcrossThreadCounts) {
   const Matrix points = TestPoints(7, 107);
   Coreset coreset1, coreset4;
