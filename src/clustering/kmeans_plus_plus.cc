@@ -167,8 +167,8 @@ Clustering KMeansPlusPlus(const Matrix& points,
       batch.clear();
       uint64_t computed = 0;
       for (size_t i = begin; i < end; ++i) {
-        if (may_skip && NewCenterCannotImprove(
-                            center_gap_sq[result.assignment[i]], min_sq[i])) {
+        const double gap = center_gap_sq[result.assignment[i]];
+        if (may_skip && NewCenterCannotImprove(gap, min_sq[i])) {
           FC_DCHECK(!(SquaredL2(points.Row(i), center) < min_sq[i]));
           continue;
         }
