@@ -49,6 +49,8 @@ std::string BuildDiagnostics::ToString() const {
   if (work.kmeanspp_distance_evals > 0) {
     AppendLine(&out, "work.kmeanspp_distance_evals",
                std::to_string(work.kmeanspp_distance_evals));
+    AppendLine(&out, "work.kmeanspp_rows_tested",
+               std::to_string(work.kmeanspp_rows_tested));
   }
   return out;
 }

@@ -51,7 +51,8 @@ struct BuildDiagnostics {
   std::vector<StageTime> stages;  ///< Wall-clock per pipeline stage.
   double total_seconds = 0.0;     ///< Wall-clock of the whole build.
   /// Operation counts; the same at any FC_THREADS. Filled by the methods
-  /// that count: k-means++ distance evaluations by sensitivity,
+  /// that count: k-means++ distance evaluations and rows tested by
+  /// sensitivity,
   /// welterweight, group_sampling and stream_km.
   WorkCounters work;
 

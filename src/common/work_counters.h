@@ -15,11 +15,16 @@ namespace fastcoreset {
 /// Work a build did, accumulated by the stages that count it. A zero
 /// count means the stage did not run.
 struct WorkCounters {
-  /// SquaredL2 calls of KMeansPlusPlus: n for the first center, then per
-  /// round one per earlier center and one per point that the
-  /// triangle-inequality test does not rule out. Without the test this
-  /// is n·k + k(k−1)/2.
+  /// SquaredL2 calls of KMeansPlusPlus: 2n for the first center's pass
+  /// and the block radii, then per round one per earlier center, one per
+  /// block anchor and one per point that neither triangle-inequality
+  /// test rules out. With every point computed this is
+  /// n·(k+1) + (k−1)·⌈n/512⌉ + k(k−1)/2.
   uint64_t kmeanspp_distance_evals = 0;
+  /// Rows KMeansPlusPlus's rounds scan: the rows of every block its
+  /// block test does not rule out, each of which then runs the per-point
+  /// test. Without the block test this is n·(k−1).
+  uint64_t kmeanspp_rows_tested = 0;
 };
 
 }  // namespace fastcoreset

@@ -18,9 +18,11 @@
 //     or through AssignToNearest. KMeansPlusPlus, the O(nkd) seeding
 //     behind sensitivity, welterweight, group_sampling and stream_km,
 //     does not: it takes the scalar SquaredL2 from each new center to
-//     the earlier centers, then to each point that a triangle-inequality
-//     test on those center gaps cannot rule out (most points, on
-//     clustered data, are ruled out without reading their row).
+//     the earlier centers and to one anchor row per 512-row block, then
+//     to each point that two triangle-inequality tests cannot rule out:
+//     one on whole blocks (anchor gap against the block's radius and
+//     largest current distance), one on the point's own center gap. On
+//     clustered data most rows are never read.
 //
 // The batched kernel is deterministic: a point's result depends only on
 // the point and the centers, never on block or chunk boundaries, so

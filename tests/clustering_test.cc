@@ -1,8 +1,12 @@
 // Tests for src/clustering: cost, k-means++, Fast-kmeans++, Lloyd,
 // k-median / Weiszfeld.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +16,8 @@
 #include "src/clustering/kmeans_plus_plus.h"
 #include "src/clustering/kmedian.h"
 #include "src/clustering/lloyd.h"
+#include "src/common/fenwick_tree.h"
+#include "src/common/parallel.h"
 #include "src/geometry/distance.h"
 
 namespace fastcoreset {
@@ -178,6 +184,189 @@ TEST(KMeansPlusPlusTest, CostWithinLogFactorOfPlanted) {
     total += KMeansPlusPlus(points, {}, blobs, 2, trial_rng).total_cost;
   }
   EXPECT_LT(total / trials, 30.0 * planted_cost);
+}
+
+/// k-means++ without either skip: every round computes every point's
+/// distance to the new center, in index order. Draws, Fenwick updates and
+/// the cost sum follow KMeansPlusPlus step for step, so the two must agree
+/// bit for bit.
+Clustering SkipFreeKMeansPlusPlus(const Matrix& points,
+                                  const std::vector<double>& weights,
+                                  size_t k, int z, Rng& rng) {
+  const size_t n = points.rows();
+  k = std::min(k, n);
+  Clustering result;
+  result.z = z;
+  result.centers = Matrix(k, points.cols());
+  result.assignment.assign(n, 0);
+  const auto mass = [&](size_t i, double sq) {
+    return WeightAt(weights, i) * (z == 2 ? sq : std::sqrt(sq));
+  };
+  std::vector<double> min_sq(n);
+  std::vector<uint8_t> chosen(n, 0);
+  const size_t first =
+      weights.empty() ? rng.NextIndex(n) : rng.SampleDiscrete(weights);
+  chosen[first] = 1;
+  result.centers.CopyRowFrom(points, first, 0);
+  std::vector<double> initial(n);
+  for (size_t i = 0; i < n; ++i) {
+    min_sq[i] = SquaredL2(points.Row(i), points.Row(first));
+    initial[i] = mass(i, min_sq[i]);
+  }
+  FenwickTree masses(initial);
+  for (size_t c = 1; c < k; ++c) {
+    size_t next = n;
+    if (masses.Total() > 0.0) {
+      const size_t drawn = masses.Sample(rng);
+      if (masses.Get(drawn) > 0.0) next = drawn;
+    }
+    if (next == n) {
+      std::vector<size_t> unchosen;
+      double unchosen_weight = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        if (!chosen[i]) {
+          unchosen.push_back(i);
+          unchosen_weight += WeightAt(weights, i);
+        }
+      }
+      if (unchosen_weight > 0.0 && !weights.empty()) {
+        std::vector<double> sub;
+        for (size_t i : unchosen) sub.push_back(weights[i]);
+        next = unchosen[rng.SampleDiscrete(sub, unchosen_weight)];
+      } else {
+        next = unchosen[rng.NextIndex(unchosen.size())];
+      }
+    }
+    chosen[next] = 1;
+    result.centers.CopyRowFrom(points, next, c);
+    for (size_t i = 0; i < n; ++i) {
+      const double sq = SquaredL2(points.Row(i), result.centers.Row(c));
+      if (sq < min_sq[i]) {
+        min_sq[i] = sq;
+        result.assignment[i] = c;
+        masses.Set(i, mass(i, sq));
+      }
+    }
+  }
+  result.point_costs.resize(n);
+  result.total_cost = ParallelReduce(n, [&](size_t begin, size_t end) {
+    double partial = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      result.point_costs[i] = z == 2 ? min_sq[i] : std::sqrt(min_sq[i]);
+      partial += WeightAt(weights, i) * result.point_costs[i];
+    }
+    return partial;
+  });
+  return result;
+}
+
+/// Runs KMeansPlusPlus and the skip-free seeder from the same seed at 1
+/// and 4 threads and expects the same centers, assignment, costs and Rng
+/// state, bit for bit (NaN matching NaN). Returns the rows the rounds
+/// tested.
+uint64_t ExpectMatchesSkipFree(const Matrix& points,
+                               const std::vector<double>& weights, size_t k,
+                               int z, uint64_t seed) {
+  const auto bits = [](const std::vector<double>& values) {
+    std::vector<uint64_t> out(values.size());
+    std::memcpy(out.data(), values.data(), values.size() * sizeof(double));
+    return out;
+  };
+  Rng reference_rng(seed);
+  const Clustering reference =
+      SkipFreeKMeansPlusPlus(points, weights, k, z, reference_rng);
+  const uint64_t reference_next = reference_rng.NextU64();
+  uint64_t rows_tested = 0;
+  for (size_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    Rng rng(seed);
+    WorkCounters work;
+    const Clustering result = KMeansPlusPlus(points, weights, k, z, rng, &work);
+    ResetNumThreads();
+    EXPECT_EQ(bits(result.centers.data()), bits(reference.centers.data()))
+        << "threads " << threads;
+    EXPECT_EQ(result.assignment, reference.assignment) << "threads " << threads;
+    EXPECT_EQ(bits(result.point_costs), bits(reference.point_costs))
+        << "threads " << threads;
+    EXPECT_EQ(bits({result.total_cost}), bits({reference.total_cost}))
+        << "threads " << threads;
+    EXPECT_EQ(rng.NextU64(), reference_next) << "threads " << threads;
+    if (threads > 1) {
+      EXPECT_EQ(work.kmeanspp_rows_tested, rows_tested);
+    }
+    rows_tested = work.kmeanspp_rows_tested;
+  }
+  return rows_tested;
+}
+
+TEST(KMeansPlusPlusTest, MatchesSkipFreeSeedingOnSeparatedBlobs) {
+  // 2048-row blobs fill whole 512-row blocks, so the block test rules
+  // out most rows; n = 7 · 2048 + 300 leaves a partial last block.
+  Rng rng(31);
+  Matrix points = SeparatedBlobs(7, 2048, 4, rng);
+  const size_t n = points.rows() + 300;
+  {
+    Matrix padded(n, 4);
+    for (size_t i = 0; i < n; ++i) {
+      padded.CopyRowFrom(points, i % points.rows(), i);
+    }
+    points = std::move(padded);
+  }
+  const size_t k = 60;
+  const uint64_t rows_tested = ExpectMatchesSkipFree(points, {}, k, 2, 32);
+  EXPECT_LE(rows_tested, n * (k - 1) / 4);
+
+  std::vector<double> weights(n);
+  for (double& w : weights) w = rng.NextDouble() < 0.1 ? 0.0 : rng.NextDouble();
+  ExpectMatchesSkipFree(points, weights, k, 2, 33);
+  ExpectMatchesSkipFree(points, weights, k, 1, 34);
+}
+
+/// The first n rows of 512-row blobs: each full block holds one blob.
+Matrix BlockAlignedBlobs(size_t n, size_t d, Rng& rng) {
+  const Matrix blobs = SeparatedBlobs((n + 511) / 512, 512, d, rng);
+  std::vector<size_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = i;
+  return blobs.SelectRows(rows);
+}
+
+TEST(KMeansPlusPlusTest, MatchesSkipFreeSeedingOnSmallInputs) {
+  Rng rng(35);
+  for (size_t n : {1, 2, 300, 511, 512, 513, 1500}) {
+    const Matrix points = BlockAlignedBlobs(n, 3, rng);
+    ExpectMatchesSkipFree(points, {}, 40, 2, 36 + n);
+    ExpectMatchesSkipFree(points, {}, 40, 1, 37 + n);
+  }
+}
+
+TEST(KMeansPlusPlusTest, MatchesSkipFreeSeedingOnDuplicates) {
+  // 1500 rows on 3 distinct points, one per block, and k above the
+  // distinct count: the rounds past 3 draw from the zero-mass fallback.
+  Rng rng(38);
+  const Matrix distinct = SeparatedBlobs(3, 1, 5, rng);
+  std::vector<size_t> rows(1500);
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i / 512;
+  const Matrix points = distinct.SelectRows(rows);
+  ExpectMatchesSkipFree(points, {}, 12, 2, 39);
+  ExpectMatchesSkipFree(points, {}, 12, 1, 40);
+}
+
+TEST(KMeansPlusPlusTest, MatchesSkipFreeSeedingAtExtremeScales) {
+  // ×1e153: distances within a blob stay finite, those across blobs
+  // overflow. ×1e150: only row 512, the second block's anchor, set to
+  // 1e300, overflows against everything. The small scales put squares
+  // below kMinSkipSq (1e-141) and into the subnormals (1e-160).
+  Rng rng(41);
+  const Matrix blobs = BlockAlignedBlobs(2300, 3, rng);
+  for (double scale : {1e153, 1e150, 1e-141, 1e-160}) {
+    Matrix points = blobs;
+    for (double& x : points.data()) x *= scale;
+    if (scale > 1.0) {
+      for (size_t j = 0; j < points.cols(); ++j) points.At(512, j) = 1e300;
+    }
+    ExpectMatchesSkipFree(points, {}, 30, 2, 42);
+    ExpectMatchesSkipFree(points, {}, 30, 1, 43);
+  }
 }
 
 TEST(FastKMeansPlusPlusTest, ProducesValidAssignments) {

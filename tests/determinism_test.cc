@@ -153,14 +153,16 @@ TEST(DeterminismTest, KMeansPlusPlusBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, KMeansPlusPlusWorkCountIdenticalAcrossThreadCounts) {
-  // The k-means++ distance count is summed per chunk, so it is a
-  // function of the input alone. On a well-separated mixture the
-  // triangle-inequality skip rules out most of the n·(k−1) point
-  // distances of the rounds; every golden would still pass with the skip
-  // off, so this bound is what notices.
+  // The k-means++ counts are summed per block, so they are a function of
+  // the input alone. On a well-separated mixture the point test rules out
+  // most of the distances. The block test rules out a smaller share of
+  // the n·(k−1) rows of the rounds here (about 40%): the 12 clusters hold
+  // about 500 rows each, so most 512-row blocks straddle two of them.
+  // Every golden would still pass with either test off, so these bounds
+  // are what notice.
   const Matrix points = TestPoints(8, 121);
   const size_t k = 100;
-  const auto evals = [&](const char* method, size_t threads) {
+  const auto work = [&](const char* method, size_t threads) {
     ThreadCountGuard guard(threads);
     api::CoresetSpec spec;
     spec.method = method;
@@ -169,16 +171,23 @@ TEST(DeterminismTest, KMeansPlusPlusWorkCountIdenticalAcrossThreadCounts) {
     spec.seed = 122;
     const auto result = api::Build(spec, points);
     EXPECT_TRUE(result.ok()) << result.status().message();
-    return result.ok() ? result->diagnostics.work.kmeanspp_distance_evals : 0;
+    return result.ok() ? result->diagnostics.work : WorkCounters{};
   };
   for (const char* method :
        {"sensitivity", "welterweight", "group_sampling", "stream_km"}) {
-    const uint64_t serial = evals(method, 1);
-    EXPECT_GT(serial, 0u) << method;
-    EXPECT_EQ(serial, evals(method, 4)) << method;
+    const WorkCounters serial = work(method, 1);
+    const WorkCounters parallel = work(method, 4);
+    EXPECT_GT(serial.kmeanspp_distance_evals, 0u) << method;
+    EXPECT_GT(serial.kmeanspp_rows_tested, 0u) << method;
+    EXPECT_EQ(serial.kmeanspp_distance_evals, parallel.kmeanspp_distance_evals)
+        << method;
+    EXPECT_EQ(serial.kmeanspp_rows_tested, parallel.kmeanspp_rows_tested)
+        << method;
   }
-  EXPECT_LE(evals("sensitivity", 4), kRows * (k - 1) / 4);
-  EXPECT_EQ(evals("fast_coreset", 4), 0u);  // Seeds without k-means++.
+  const WorkCounters sensitivity = work("sensitivity", 4);
+  EXPECT_LE(sensitivity.kmeanspp_rows_tested, kRows * (k - 1) * 2 / 3);
+  EXPECT_LE(sensitivity.kmeanspp_distance_evals, kRows * (k - 1) / 4);
+  EXPECT_EQ(work("fast_coreset", 4).kmeanspp_distance_evals, 0u);
 }
 
 TEST(DeterminismTest, SensitivitySamplingBitIdenticalAcrossThreadCounts) {
